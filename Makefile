@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-gate soak-1m profile vet fmt fmt-check lint lint-json ci experiments examples clean
+.PHONY: all build test test-race bench bench-gate soak-1m fuzz-soak profile vet fmt fmt-check lint lint-json ci experiments examples clean
 
 all: build vet lint test
 
@@ -68,6 +68,19 @@ bench:
 # generators, or the halo kernels. Prints per-stage timings; writes nothing.
 soak-1m:
 	$(GO) run ./cmd/ndperf -soak1m
+
+# Off-CI fuzz soak: every testing.F target in the module, FUZZTIME each
+# (go test fuzzes one target per invocation). Plain `go test` only replays
+# the seed corpora committed under each package's testdata/fuzz; new
+# failing inputs land there too, ready to commit as regression seeds.
+FUZZTIME ?= 60s
+fuzz-soak:
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' "$$pkg" | grep '^Fuzz' || true); do \
+			echo "== $$pkg $$target ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) "$$pkg"; \
+		done; \
+	done
 
 # CPU/heap profiles of the engine hot path, via cmd/ndperf's pprof flags.
 # Inspect with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.

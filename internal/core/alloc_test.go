@@ -6,14 +6,14 @@ import (
 	"m2hew/internal/channel"
 )
 
-// TestNeighborTableSteadyStateAllocs pins the dense table's hot path: once
-// a neighbor is known and its span is settled, re-recording it — the case
+// TestNeighborTableSteadyStateAllocs pins the table's hot path: once a
+// neighbor is known and its span is settled, re-recording it — the case
 // every redundant delivery hits — must not allocate at all.
 func TestNeighborTableSteadyStateAllocs(t *testing.T) {
 	var tbl NeighborTable
 	a := channel.NewSet(1, 2, 5, 70)
 	b := channel.NewSet(2, 5, 70, 80)
-	tbl.RecordIntersect(3, a, b) // discovery: allocates the slot
+	tbl.RecordIntersect(3, a, b) // discovery: allocates the entry
 	if allocs := testing.AllocsPerRun(100, func() {
 		tbl.RecordIntersect(3, a, b)
 	}); allocs != 0 {

@@ -32,7 +32,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"m2hew/internal/channel"
 	"m2hew/internal/radio"
@@ -43,118 +42,54 @@ import (
 // NeighborTable is the output of neighbor discovery at one node: for every
 // discovered neighbor, the channels shared with it (A(v) ∩ A(u)).
 //
-// Node IDs are dense indexes (topology guarantees 0..N-1), so up to
-// denseNeighborBudget the table is a slice indexed by NodeID plus a
-// discovered-ID list: Record and the engines' delivery hot path touch one
-// slot by index, re-recording a known neighbor allocates nothing, and no
-// map iteration order can leak into results. Past the budget — large-n
-// runs, where n tables × n-slot backing would be O(n²) memory across the
-// network while each node discovers only its ~degree neighbors — the table
-// switches to a compact sparse backing: entries in discovery order plus a
-// NodeID→entry index map used for point lookups only (never iterated, so
-// no map order can leak into results either). The mode is an internal
-// representation choice, decided at the first write from the larger of the
-// Reserve hint and the first recorded ID; every observable behaves
-// identically in both.
+// The table is one slice of entries kept ascending by NodeID and searched
+// by binary search, so memory tracks discoveries (~degree), not the
+// network size, and no map iteration order can leak into results.
+// Re-recording a known neighbor — every repeat delivery — touches one entry
+// in place and allocates nothing.
 type NeighborTable struct {
-	common []channel.Set // dense: indexed by NodeID; meaningful iff has[v]
-	has    []bool
-	ids    []topology.NodeID // discovered IDs in discovery order
-	// Sparse backing: sets[i] is the common set of ids[i]; idx maps a
-	// NodeID to its position in ids/sets. idx non-nil means sparse mode.
-	sets []channel.Set
-	idx  map[topology.NodeID]int32
-	// hint is the capacity Reserve promised: the first dense growth jumps
-	// straight to it instead of doubling, so a table that discovers
-	// anything pays one sized allocation — and a table that discovers
-	// nothing pays none. A hint past denseNeighborBudget selects the
-	// sparse backing instead.
-	hint int
+	entries []neighborEntry
 }
 
-// denseNeighborBudget caps the dense backing: a table whose Reserve hint
-// (or first recorded ID) exceeds it stores entries sparsely. At the budget
-// the dense arrays cost ~1 MB per table; past it, per-table memory must
-// track discoveries (~degree), not the network size.
-const denseNeighborBudget = 1 << 15
+// neighborEntry is one discovered neighbor and its common channel set.
+type neighborEntry struct {
+	id     topology.NodeID
+	common channel.Set
+}
 
 // NewNeighborTable returns an empty table.
 func NewNeighborTable() *NeighborTable {
 	return &NeighborTable{}
 }
 
-// grow extends the dense storage to cover v. Negative IDs are rejected with
-// a panic because node IDs are dense non-negative by construction; a
-// negative ID is a bug, never a data condition.
-// sparseFor reports whether a first write for node v selects the sparse
-// backing: nothing is stored densely yet and the larger of the Reserve
-// hint and v's slot exceeds the dense budget. Once a mode has storage the
-// table stays in it — re-deciding per write would strand entries.
-func (t *NeighborTable) sparseFor(v topology.NodeID) bool {
-	if t.idx != nil {
-		return true
-	}
-	if len(t.has) > 0 {
-		return false
-	}
-	need := int(v) + 1
-	if t.hint > need {
-		need = t.hint
-	}
-	return need > denseNeighborBudget
-}
-
-func (t *NeighborTable) grow(v topology.NodeID) {
-	need := int(v) + 1
-	if need <= len(t.has) {
-		return
-	}
-	// Grow both slices once to the target length (amortized via append-style
-	// doubling so sequential discoveries don't reallocate per neighbor). The
-	// extension is zeroed: the slices never shrink, so spare capacity has
-	// never held live entries.
-	if cap(t.has) < need {
-		newCap := growCap(need, cap(t.has))
-		if t.hint > newCap {
-			newCap = t.hint
+// find returns the position of v in the table, or the position where v
+// would be inserted, and whether v is present.
+//
+//nd:hotpath
+func (t *NeighborTable) find(v topology.NodeID) (int, bool) {
+	lo, hi := 0, len(t.entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.entries[mid].id < v {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		has := make([]bool, need, newCap)
-		copy(has, t.has)
-		t.has = has
-		common := make([]channel.Set, need, cap(t.has))
-		copy(common, t.common)
-		t.common = common
-		return
 	}
-	t.has = t.has[:need]
-	t.common = t.common[:need]
+	return lo, lo < len(t.entries) && t.entries[lo].id == v
 }
 
-// growCap doubles the current capacity until it covers need, floored at a
-// small minimum so the first discovery doesn't trigger a resize cascade.
-func growCap(need, cur int) int {
-	c := cur
-	if c < 8 {
-		c = 8
+// insert places a first-time discovery at position i, keeping the entries
+// ascending. Negative IDs are rejected with a panic because node IDs are
+// dense non-negative by construction; a negative ID is a bug, never a data
+// condition.
+func (t *NeighborTable) insert(i int, v topology.NodeID, common channel.Set) {
+	if v < 0 {
+		panic(fmt.Sprintf("core: NeighborTable: negative node id %d", v))
 	}
-	for c < need {
-		c *= 2
-	}
-	return c
-}
-
-// Reserve hints the dense storage size for node IDs in [0, n), so a caller
-// that knows the network size up front (the engines do) replaces the
-// doubling cascade of sequential discoveries with one sized allocation.
-// The allocation is lazy — it happens at the first discovery, not here —
-// so reserving a table that never records anything costs nothing, and a
-// run over many nodes pays for each table only when (and if) it is first
-// written. Reserving records nothing: Has, Len and Neighbors are
-// unchanged.
-func (t *NeighborTable) Reserve(n int) {
-	if n > t.hint {
-		t.hint = n
-	}
+	t.entries = append(t.entries, neighborEntry{})
+	copy(t.entries[i+1:], t.entries[i:])
+	t.entries[i] = neighborEntry{id: v, common: common}
 }
 
 // Record stores neighbor v with the given common channel set. Re-recording a
@@ -164,41 +99,16 @@ func (t *NeighborTable) Reserve(n int) {
 //
 //nd:hotpath
 func (t *NeighborTable) Record(v topology.NodeID, common channel.Set) {
-	if v < 0 {
-		panic(fmt.Sprintf("core: NeighborTable: negative node id %d", v))
-	}
-	if t.sparseFor(v) {
-		if i, ok := t.idx[v]; ok {
-			if common.SubsetOf(t.sets[i]) {
-				return // nothing new: the union would rebuild an equal set
-			}
-			t.sets[i] = t.sets[i].UnionInto(common, t.sets[i])
-			return
-		}
-		t.recordSparse(v, common.CopyInto(channel.Set{}))
+	i, ok := t.find(v)
+	if !ok {
+		t.insert(i, v, common.CopyInto(channel.Set{}))
 		return
 	}
-	t.grow(v)
-	if t.has[v] {
-		if common.SubsetOf(t.common[v]) {
-			return // nothing new: the union would rebuild an equal set
-		}
-		t.common[v] = t.common[v].UnionInto(common, t.common[v])
-		return
+	e := &t.entries[i]
+	if common.SubsetOf(e.common) {
+		return // nothing new: the union would rebuild an equal set
 	}
-	t.has[v] = true
-	t.ids = append(t.ids, v)
-	t.common[v] = common.CopyInto(t.common[v])
-}
-
-// recordSparse appends a first-time discovery to the sparse backing.
-func (t *NeighborTable) recordSparse(v topology.NodeID, set channel.Set) {
-	if t.idx == nil {
-		t.idx = make(map[topology.NodeID]int32, 16)
-	}
-	t.idx[v] = int32(len(t.ids))
-	t.ids = append(t.ids, v)
-	t.sets = append(t.sets, set)
+	e.common = e.common.UnionInto(common, e.common)
 }
 
 // RecordIntersect records neighbor v with a ∩ b, computing the intersection
@@ -207,68 +117,44 @@ func (t *NeighborTable) recordSparse(v topology.NodeID, set channel.Set) {
 //
 //nd:hotpath
 func (t *NeighborTable) RecordIntersect(v topology.NodeID, a, b channel.Set) {
-	if v < 0 {
-		panic(fmt.Sprintf("core: NeighborTable: negative node id %d", v))
-	}
-	if t.sparseFor(v) {
-		if i, ok := t.idx[v]; ok {
-			if a.IntersectionSubsetOf(b, t.sets[i]) {
-				return // nothing new
-			}
-			// Rare monotone-extension path; see the dense branch below.
-			t.sets[i] = t.sets[i].Union(a.Intersect(b))
-			return
-		}
-		t.recordSparse(v, a.IntersectInto(b, channel.Set{}))
+	i, ok := t.find(v)
+	if !ok {
+		t.insert(i, v, a.IntersectInto(b, channel.Set{}))
 		return
 	}
-	t.grow(v)
-	if t.has[v] {
-		if a.IntersectionSubsetOf(b, t.common[v]) {
-			return // nothing new
-		}
-		// Rare monotone-extension path (a payload adding channels); keep the
-		// simple allocating union rather than a third in-place primitive.
-		t.common[v] = t.common[v].Union(a.Intersect(b))
-		return
+	e := &t.entries[i]
+	if a.IntersectionSubsetOf(b, e.common) {
+		return // nothing new
 	}
-	t.has[v] = true
-	t.ids = append(t.ids, v)
-	t.common[v] = a.IntersectInto(b, t.common[v])
+	// Rare monotone-extension path (a payload adding channels); keep the
+	// simple allocating union rather than a third in-place primitive.
+	e.common = e.common.Union(a.Intersect(b))
 }
 
 // Common returns the recorded common channel set with v and whether v has
 // been discovered.
 func (t *NeighborTable) Common(v topology.NodeID) (channel.Set, bool) {
-	if t.idx != nil {
-		if i, ok := t.idx[v]; ok {
-			return t.sets[i], true
-		}
-		return channel.Set{}, false
+	if i, ok := t.find(v); ok {
+		return t.entries[i].common, true
 	}
-	if v < 0 || int(v) >= len(t.has) || !t.has[v] {
-		return channel.Set{}, false
-	}
-	return t.common[v], true
+	return channel.Set{}, false
 }
 
 // Has reports whether v has been discovered.
 func (t *NeighborTable) Has(v topology.NodeID) bool {
-	if t.idx != nil {
-		_, ok := t.idx[v]
-		return ok
-	}
-	return v >= 0 && int(v) < len(t.has) && t.has[v]
+	_, ok := t.find(v)
+	return ok
 }
 
 // Len returns the number of discovered neighbors.
-func (t *NeighborTable) Len() int { return len(t.ids) }
+func (t *NeighborTable) Len() int { return len(t.entries) }
 
 // Neighbors returns the discovered neighbor IDs in ascending order.
 func (t *NeighborTable) Neighbors() []topology.NodeID {
-	ids := make([]topology.NodeID, len(t.ids))
-	copy(ids, t.ids)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := make([]topology.NodeID, len(t.entries))
+	for i, e := range t.entries {
+		ids[i] = e.id
+	}
 	return ids
 }
 
@@ -294,11 +180,6 @@ func newNode(avail channel.Set, r *rng.Source) (node, error) {
 	a := avail.Clone()
 	return node{avail: a, ids: a.IDs(), rng: r, table: NewNeighborTable()}, nil
 }
-
-// ReserveNeighbors pre-sizes the discovery table for node IDs in [0, n).
-// The engines call it (through sim.NeighborReserver) once per run with the
-// network size; results are unchanged — only allocation timing moves.
-func (n *node) ReserveNeighbors(count int) { n.table.Reserve(count) }
 
 // deliver implements the receive path common to all four algorithms:
 // "add ⟨v, A ∩ A(u)⟩ to the set of neighbors". Repeat receptions whose

@@ -5,11 +5,9 @@
 //
 // The package is a thin serving skeleton over seams that already exist —
 // telemetry.Registry for /metrics, harness.Progress for /progress, expvar
-// and net/http/pprof for the debug endpoints — and is the surface the
-// planned nddserve daemon will mount its job API onto (ROADMAP open item
-// 2). Attaching it never changes results: the server only reads snapshots,
-// and the progress stream is fed with non-blocking sends, so a slow (or
-// hostile) client can stall nothing.
+// and net/http/pprof for the debug endpoints. Attaching it never changes
+// results: the server only reads snapshots, and the progress stream is fed
+// with non-blocking sends, so a slow (or hostile) client can stall nothing.
 //
 // Endpoints:
 //
@@ -82,7 +80,7 @@ type Server struct {
 }
 
 // Handler builds the diagnostics mux for cfg — exported separately from
-// Serve so nddserve (and tests) can mount it under their own server.
+// Serve so callers (and tests) can mount it under their own server.
 func Handler(cfg Config) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {

@@ -21,8 +21,10 @@
 package dynamics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"m2hew/internal/channel"
 	"m2hew/internal/rng"
@@ -199,7 +201,8 @@ type World struct {
 	allActive []bool                 // shared all-true Active for churn-free worlds
 	nodesBuf  []topology.Node        // mobility rebuild buffer: positions updated per epoch
 
-	epochs []*Epoch // memo, built sequentially from epoch 0
+	epochs []*Epoch        // memo, built sequentially from epoch 0
+	links  []topology.Link // memo of Links; nil until first asked
 }
 
 // NewWorld draws the full dynamic schedule for horizon epochs over base
@@ -384,6 +387,46 @@ func (w *World) At(e int) *Epoch {
 		w.epochs = append(w.epochs, w.build(len(w.epochs)))
 	}
 	return w.epochs[e]
+}
+
+// Links returns the link universe of the whole schedule: the union of
+// every epoch's Links through the horizon, ascending by (From, To) with no
+// duplicates. A coverage built over it (metrics.NewCoverageWithin) accepts
+// every link any epoch adds to its target. The first call builds every
+// epoch snapshot; the union is memoized, shared and read-only.
+func (w *World) Links() []topology.Link {
+	if w.links != nil {
+		return w.links
+	}
+	w.At(w.horizon - 1)
+	// Quiet epochs share their predecessor's slice; add each once, into
+	// one allocation sized up front.
+	fresh := func(e int) bool { return e == 0 || !sameLinks(w.epochs[e].Links, w.epochs[e-1].Links) }
+	total := 0
+	for e, ep := range w.epochs {
+		if fresh(e) {
+			total += len(ep.Links)
+		}
+	}
+	all := make([]topology.Link, 0, total)
+	for e, ep := range w.epochs {
+		if fresh(e) {
+			all = append(all, ep.Links...)
+		}
+	}
+	slices.SortFunc(all, func(a, b topology.Link) int {
+		if a.From != b.From {
+			return cmp.Compare(a.From, b.From)
+		}
+		return cmp.Compare(a.To, b.To)
+	})
+	w.links = slices.Compact(all) // non-nil even when empty, so the memo holds
+	return w.links
+}
+
+// sameLinks reports whether a and b are the same shared slice.
+func sameLinks(a, b []topology.Link) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // build constructs the epoch-e snapshot. Epochs are built strictly in

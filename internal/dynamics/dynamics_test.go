@@ -362,3 +362,64 @@ func BenchmarkEpochRebuild(b *testing.B) {
 		w.At(horizon - 1) // builds all epochs sequentially
 	}
 }
+
+// TestWorldLinks checks the link universe on churn, primary-user, mobility
+// and combined specs: ascending by (From, To) with no duplicates, a
+// superset of every epoch's Links (so every AddTarget an engine makes lands
+// inside a coverage built over it), holding no link that no epoch has, and
+// memoized.
+func TestWorldLinks(t *testing.T) {
+	specs := map[string]Spec{
+		"churn":    {EpochLen: 10, Churn: &Churn{JoinFraction: 0.6, JoinWindow: 10, LeaveFraction: 0.5, LeaveWindow: 12}},
+		"primary":  {EpochLen: 10, Primary: &Primary{Events: 3, Duration: 4, Radius: 0.4}},
+		"mobility": {EpochLen: 25, Mobility: &Mobility{Speed: 0.08, Radius: 0.5, Pause: 1}},
+		"all": {
+			EpochLen: 20,
+			Churn:    &Churn{JoinFraction: 0.4, JoinWindow: 8, LeaveFraction: 0.3, LeaveWindow: 10},
+			Mobility: &Mobility{Speed: 0.05, Radius: 0.5, Pause: 1},
+			Primary:  &Primary{Events: 3, Duration: 4, Radius: 0.4},
+		},
+		"static": {EpochLen: 10},
+	}
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			const horizon = 16
+			w, err := NewWorld(testNet(t, 12, 18), spec, horizon, rng.New(13))
+			if err != nil {
+				t.Fatal(err)
+			}
+			u := w.Links()
+			for i := 1; i < len(u); i++ {
+				a, b := u[i-1], u[i]
+				if a.From > b.From || (a.From == b.From && a.To >= b.To) {
+					t.Fatalf("universe not strictly ascending at %d: %v, %v", i, a, b)
+				}
+			}
+			in := make(map[topology.Link]bool, len(u))
+			for _, l := range u {
+				in[l] = true
+			}
+			seen := map[topology.Link]bool{}
+			distinct := map[int]bool{}
+			for e := 0; e < horizon; e++ {
+				links := w.At(e).Links
+				distinct[len(links)] = true
+				for _, l := range links {
+					if !in[l] {
+						t.Fatalf("epoch %d link %v missing from the universe", e, l)
+					}
+					seen[l] = true
+				}
+			}
+			if len(seen) != len(u) {
+				t.Fatalf("universe has %d links, epochs only %d", len(u), len(seen))
+			}
+			if name != "static" && len(distinct) < 2 {
+				t.Fatal("link set never changed; fixture exercises no dynamics")
+			}
+			if again := w.Links(); len(again) > 0 && &again[0] != &u[0] {
+				t.Fatal("Links not memoized")
+			}
+		})
+	}
+}

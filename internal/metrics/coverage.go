@@ -10,16 +10,10 @@ package metrics
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"m2hew/internal/topology"
 )
-
-// denseCoverageLimit caps the node-ID stride of the dense backing: a stride
-// of 1024 bounds the first-coverage array at stride² float64s = 8 MiB.
-// Targets with larger IDs use the map backing.
-const denseCoverageLimit = 1024
 
 // Coverage tracks first-coverage times for a target set of directed links.
 // Times are unitless float64s: slot indexes for synchronous runs, real time
@@ -31,232 +25,153 @@ const denseCoverageLimit = 1024
 // — first coverage minus birth — stays well-defined for links that did not
 // exist at time zero.
 //
-// Three interchangeable backings implement the same observable behaviour:
-// a dense one (bitmaps plus a flat first-coverage array, chosen when the
-// constructor target's node IDs all fall under denseCoverageLimit) that
-// keeps the per-delivery Observe call off the map hardware; a CSR one for
-// large-n static targets (chosen when the constructor links arrive sorted
-// ascending by (From, To) — Network.DiscoverableLinks order — with IDs
-// past the dense limit), storing the target as row offsets plus ascending
-// destination lists so memory is O(links) instead of O(n²) and Observe is
-// one binary search in the receiver row; and a map one for everything
-// else. An AddTarget whose link exceeds the dense ID range (or misses the
-// CSR target — a dynamic run growing links) migrates the state into maps;
-// results are identical with every backing.
+// Every link the coverage can ever target lives in a fixed universe stored
+// in CSR form: row offsets plus ascending destination lists, so memory is
+// O(links) rather than O(n²) and Observe is one binary search in the
+// sender's row. A static coverage's universe is its target; a dynamic one
+// (NewCoverageWithin) starts with an empty target inside the union of all
+// epochs' links.
 type Coverage struct {
-	// Map backing. Active (non-nil) iff stride == 0 and csrTo == nil.
-	first  map[topology.Link]float64
-	target map[topology.Link]bool
+	// Link i has From = the row whose [off[row], off[row+1]) window
+	// contains i and To = to[i]. Rows ascend and to ascends within each
+	// row, so index order is ascending (From, To) order.
+	off []int64
+	to  []topology.NodeID
 
-	// Dense backing, active iff stride > 0: link (v,u) lives at flat index
-	// v*stride+u. denseAt[idx] is meaningful only where covered has the bit.
-	stride     int
-	targetBits []uint64
-	covered    []uint64
-	denseAt    []float64
-	targetSize int
+	target  []uint64  // bitset over link indexes: link i is in the target
+	covered []uint64  // bitset over link indexes: link i is covered
+	at      []float64 // first-coverage time; meaningful where covered
+	born    []float64 // birth time; nil until a link is born after time 0
 
-	// CSR backing, active iff csrTo != nil: link i has From = the row whose
-	// [csrOff[row], csrOff[row+1]) window contains i and To = csrTo[i].
-	// Rows are ascending, csrTo ascends within each row, csrCovered is a
-	// bitset over link indexes, and csrAt[i] is meaningful only where
-	// csrCovered has the bit.
-	csrOff     []int64
-	csrTo      []topology.NodeID
-	csrAt      []float64
-	csrCovered []uint64
-
-	born      map[topology.Link]float64 // lazily allocated; absent link ⇒ born at 0
+	size      int // target links
 	remaining int
 	nonTarget int // observations outside the target set (counted, never stored)
 }
 
 // NewCoverage returns a Coverage whose completion target is the given links
-// (typically Network.DiscoverableLinks()).
+// (typically Network.DiscoverableLinks()). Input that is not strictly
+// ascending by (From, To) is sorted and deduplicated in a copy; node IDs
+// must be non-negative.
 func NewCoverage(links []topology.Link) *Coverage {
-	if stride := denseStride(links); stride > 0 {
-		c := &Coverage{
-			stride:     stride,
-			targetBits: make([]uint64, (stride*stride+63)/64),
-			covered:    make([]uint64, (stride*stride+63)/64),
-			denseAt:    make([]float64, stride*stride),
-		}
-		for _, l := range links {
-			idx := int(l.From)*stride + int(l.To)
-			w, bit := idx>>6, uint64(1)<<(uint(idx)&63)
-			if c.targetBits[w]&bit == 0 {
-				c.targetBits[w] |= bit
-				c.targetSize++
-			}
-		}
-		c.remaining = c.targetSize
-		return c
+	c := NewCoverageWithin(links)
+	for i := range c.target {
+		c.target[i] = ^uint64(0)
 	}
-	if c := newCSRCoverage(links); c != nil {
-		return c
+	if tail := len(c.to) & 63; tail != 0 {
+		c.target[len(c.target)-1] = uint64(1)<<uint(tail) - 1
 	}
-	target := make(map[topology.Link]bool, len(links))
-	for _, l := range links {
-		target[l] = true
-	}
-	return &Coverage{
-		first:     make(map[topology.Link]float64, len(links)),
-		target:    target,
-		remaining: len(target),
-	}
+	c.size, c.remaining = len(c.to), len(c.to)
+	return c
 }
 
-// newCSRCoverage builds the CSR backing, or returns nil when it does not
-// apply: the links must be non-empty, non-negative, and strictly ascending
-// by (From, To) — the order Network.DiscoverableLinks produces. Duplicate
-// or unsorted input falls back to the map backing rather than silently
-// mis-counting.
-func newCSRCoverage(links []topology.Link) *Coverage {
-	if len(links) == 0 || links[0].From < 0 || links[0].To < 0 {
-		return nil
-	}
-	for i := 1; i < len(links); i++ {
-		a, b := links[i-1], links[i]
-		if b.To < 0 || b.From < a.From || (b.From == a.From && b.To <= a.To) {
-			return nil
+// NewCoverageWithin returns a Coverage over the given link universe with
+// an empty target: AddTarget grows the target within the universe as links
+// are born. Dynamic runs build it over dynamics.World.Links. The input rules
+// are NewCoverage's.
+func NewCoverageWithin(universe []topology.Link) *Coverage {
+	universe = sortedUnique(universe)
+	for _, l := range universe {
+		if l.From < 0 || l.To < 0 {
+			panic(fmt.Sprintf("metrics: coverage link %v has a negative node id", l))
 		}
 	}
-	rows := int(links[len(links)-1].From) + 1
+	rows := 0
+	if len(universe) > 0 {
+		rows = int(universe[len(universe)-1].From) + 1
+	}
+	words := (len(universe) + 63) / 64
+	bitsets := make([]uint64, 2*words) // target and covered share one allocation
 	c := &Coverage{
-		csrOff:     make([]int64, rows+1),
-		csrTo:      make([]topology.NodeID, len(links)),
-		csrAt:      make([]float64, len(links)),
-		csrCovered: make([]uint64, (len(links)+63)/64),
-		targetSize: len(links),
-		remaining:  len(links),
+		off:     make([]int64, rows+1),
+		to:      make([]topology.NodeID, len(universe)),
+		target:  bitsets[:words:words],
+		covered: bitsets[words:],
+		at:      make([]float64, len(universe)),
 	}
 	row := 0
-	for i, l := range links {
+	for i, l := range universe {
 		for row < int(l.From) {
 			row++
-			c.csrOff[row] = int64(i)
+			c.off[row] = int64(i)
 		}
-		c.csrTo[i] = l.To
+		c.to[i] = l.To
 	}
 	for row < rows {
 		row++
-		c.csrOff[row] = int64(len(links))
+		c.off[row] = int64(len(universe))
 	}
 	return c
 }
 
-// csrIndex returns link l's index in the CSR target, or -1 when l is not a
-// target link.
+// sortedUnique returns links when they are strictly ascending by
+// (From, To) — the order Network.DiscoverableLinks produces — and a
+// sorted, deduplicated copy otherwise.
+func sortedUnique(links []topology.Link) []topology.Link {
+	ascending := func(a, b topology.Link) bool {
+		return a.From < b.From || (a.From == b.From && a.To < b.To)
+	}
+	for i := 1; i < len(links); i++ {
+		if !ascending(links[i-1], links[i]) {
+			out := append([]topology.Link(nil), links...)
+			topology.SortLinks(out)
+			n := 1
+			for _, l := range out[1:] {
+				if l != out[n-1] {
+					out[n] = l
+					n++
+				}
+			}
+			return out[:n]
+		}
+	}
+	return links
+}
+
+// index returns link l's index in the universe, or -1 when l is outside it.
 //
 //nd:hotpath
-func (c *Coverage) csrIndex(l topology.Link) int {
-	if l.From < 0 || int(l.From) >= len(c.csrOff)-1 {
+func (c *Coverage) index(l topology.Link) int {
+	if l.From < 0 || int(l.From) >= len(c.off)-1 {
 		return -1
 	}
-	lo, hi := c.csrOff[l.From], c.csrOff[l.From+1]
+	lo, hi := c.off[l.From], c.off[l.From+1]
 	for lo < hi {
 		mid := (lo + hi) >> 1
-		if c.csrTo[mid] < l.To {
+		if c.to[mid] < l.To {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < c.csrOff[l.From+1] && c.csrTo[lo] == l.To {
+	if lo < c.off[l.From+1] && c.to[lo] == l.To {
 		return int(lo)
 	}
 	return -1
 }
 
-// forEachTargetCSR visits every CSR target link in ascending (From, To)
-// order with its coverage state. CSR backing only.
-func (c *Coverage) forEachTargetCSR(fn func(l topology.Link, covered bool, at float64)) {
-	row := 0
-	for i, to := range c.csrTo {
-		for int64(i) >= c.csrOff[row+1] {
-			row++
-		}
-		fn(topology.Link{From: topology.NodeID(row), To: to},
-			c.csrCovered[i>>6]&(uint64(1)<<(uint(i)&63)) != 0, c.csrAt[i])
-	}
-}
-
-// denseStride returns the dense-backing stride for the target links (one
-// past the largest endpoint ID), or 0 when the dense backing does not apply
-// (no links, a negative ID, or an ID at or beyond denseCoverageLimit).
-func denseStride(links []topology.Link) int {
-	if len(links) == 0 {
-		return 0
-	}
-	maxID := topology.NodeID(0)
-	for _, l := range links {
-		if l.From < 0 || l.To < 0 {
-			return 0
-		}
-		if l.From > maxID {
-			maxID = l.From
-		}
-		if l.To > maxID {
-			maxID = l.To
-		}
-	}
-	if int(maxID) >= denseCoverageLimit {
-		return 0
-	}
-	return int(maxID) + 1
-}
+// has reports whether bit i of set is on.
+func has(set []uint64, i int) bool { return set[i>>6]&(uint64(1)<<(uint(i)&63)) != 0 }
 
 // Observe records that link l was covered at the given time. It returns true
 // if this is the first coverage of a target link. Observations of non-target
-// links are counted (see NonTargetObservations) but never stored: storing
-// them would let a mis-wired caller grow the map without bound, and the
+// links are counted (see NonTargetObservations) but never stored: the
 // engines cannot produce any — a delivery implies a discoverable link, and
-// the target is exactly the discoverable-link set.
+// the target is exactly the discoverable-link set (for dynamic runs, the
+// links born so far).
 //
 //nd:hotpath
 func (c *Coverage) Observe(l topology.Link, at float64) bool {
-	if c.stride > 0 {
-		if l.From < 0 || l.To < 0 || int(l.From) >= c.stride || int(l.To) >= c.stride {
-			c.nonTarget++
-			return false
-		}
-		idx := int(l.From)*c.stride + int(l.To)
-		w, bit := idx>>6, uint64(1)<<(uint(idx)&63)
-		if c.covered[w]&bit != 0 {
-			return false
-		}
-		if c.targetBits[w]&bit == 0 {
-			c.nonTarget++
-			return false
-		}
-		c.covered[w] |= bit
-		c.denseAt[idx] = at
-		c.remaining--
-		return true
-	}
-	if c.csrTo != nil {
-		i := c.csrIndex(l)
-		if i < 0 {
-			c.nonTarget++
-			return false
-		}
-		w, bit := i>>6, uint64(1)<<(uint(i)&63)
-		if c.csrCovered[w]&bit != 0 {
-			return false
-		}
-		c.csrCovered[w] |= bit
-		c.csrAt[i] = at
-		c.remaining--
-		return true
-	}
-	if _, seen := c.first[l]; seen {
-		return false
-	}
-	if !c.target[l] {
+	i := c.index(l)
+	if i < 0 || !has(c.target, i) {
 		c.nonTarget++
 		return false
 	}
-	c.first[l] = at
+	w, bit := i>>6, uint64(1)<<(uint(i)&63)
+	if c.covered[w]&bit != 0 {
+		return false
+	}
+	c.covered[w] |= bit
+	c.at[i] = at
 	c.remaining--
 	return true
 }
@@ -264,136 +179,53 @@ func (c *Coverage) Observe(l topology.Link, at float64) bool {
 // AddTarget grows the target set with link l, recording at as the link's
 // birth time. It reports whether the link was new; re-adding a link already
 // in the target (a link persisting across epochs) is a no-op, so the first
-// epoch in which a link appears fixes its birth. Links added after being
-// covered cannot occur in engine use — an engine only observes links it was
-// already told exist — and are rejected as no-ops too.
+// epoch in which a link appears fixes its birth. l must lie in the
+// universe: a link outside it is an engine bug and panics.
 func (c *Coverage) AddTarget(l topology.Link, at float64) bool {
-	if c.stride > 0 {
-		if l.From < 0 || l.To < 0 || int(l.From) >= c.stride || int(l.To) >= c.stride {
-			c.migrate()
-		} else {
-			idx := int(l.From)*c.stride + int(l.To)
-			w, bit := idx>>6, uint64(1)<<(uint(idx)&63)
-			if c.targetBits[w]&bit != 0 {
-				return false
-			}
-			c.targetBits[w] |= bit
-			c.targetSize++
-			c.remaining++
-			c.recordBirth(l, at)
-			return true
-		}
+	i := c.index(l)
+	if i < 0 {
+		panic(fmt.Sprintf("metrics: AddTarget(%v) outside the coverage universe", l))
 	}
-	if c.csrTo != nil {
-		if c.csrIndex(l) >= 0 {
-			return false
-		}
-		// A link outside the static CSR target: a dynamic run growing its
-		// link set. Migrate to the map backing and fall through.
-		c.migrate()
-	}
-	if c.target[l] {
+	if has(c.target, i) {
 		return false
 	}
-	c.target[l] = true
+	c.target[i>>6] |= uint64(1) << (uint(i) & 63)
+	c.size++
 	c.remaining++
-	c.recordBirth(l, at)
-	return true
-}
-
-func (c *Coverage) recordBirth(l topology.Link, at float64) {
 	if at != 0 {
 		if c.born == nil {
-			c.born = make(map[topology.Link]float64)
+			c.born = make([]float64, len(c.to))
 		}
-		c.born[l] = at
+		c.born[i] = at
 	}
-}
-
-// migrate converts the dense or CSR backing into the map backing,
-// preserving every observable. Only an AddTarget the active backing cannot
-// represent triggers it (dense: an ID beyond the stride; CSR: any link
-// outside the fixed target).
-func (c *Coverage) migrate() {
-	c.first = make(map[topology.Link]float64, c.targetSize)
-	c.target = make(map[topology.Link]bool, c.targetSize)
-	visit := c.forEachTarget
-	if c.csrTo != nil {
-		visit = c.forEachTargetCSR
-	}
-	visit(func(l topology.Link, covered bool, at float64) {
-		c.target[l] = true
-		if covered {
-			c.first[l] = at
-		}
-	})
-	c.stride, c.targetBits, c.covered, c.denseAt, c.targetSize = 0, nil, nil, nil, 0
-	c.csrOff, c.csrTo, c.csrAt, c.csrCovered = nil, nil, nil, nil
-}
-
-// forEachTarget visits every dense target link in ascending (From, To)
-// order with its coverage state. Dense backing only.
-func (c *Coverage) forEachTarget(fn func(l topology.Link, covered bool, at float64)) {
-	for w, word := range c.targetBits {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			idx := w<<6 + b
-			l := topology.Link{
-				From: topology.NodeID(idx / c.stride),
-				To:   topology.NodeID(idx % c.stride),
-			}
-			fn(l, c.covered[w]&(uint64(1)<<uint(b)) != 0, c.denseAt[idx])
-		}
-	}
+	return true
 }
 
 // BirthTime returns when link l entered the target set: the AddTarget time,
 // or 0 for links in the initial (constructor) target. ok is false for links
 // outside the target.
 func (c *Coverage) BirthTime(l topology.Link) (float64, bool) {
-	if !c.inTarget(l) {
+	i := c.index(l)
+	if i < 0 || !has(c.target, i) {
 		return 0, false
 	}
-	return c.born[l], true
-}
-
-func (c *Coverage) inTarget(l topology.Link) bool {
-	if c.stride > 0 {
-		if l.From < 0 || l.To < 0 || int(l.From) >= c.stride || int(l.To) >= c.stride {
-			return false
-		}
-		idx := int(l.From)*c.stride + int(l.To)
-		return c.targetBits[idx>>6]&(uint64(1)<<(uint(idx)&63)) != 0
+	if c.born == nil {
+		return 0, true
 	}
-	if c.csrTo != nil {
-		return c.csrIndex(l) >= 0
-	}
-	return c.target[l]
+	return c.born[i], true
 }
 
 // Latencies returns the discovery latency — first-coverage time minus birth
 // time — of every covered target link, sorted ascending. For static runs
 // (all links born at 0) this is simply the sorted first-coverage times.
 func (c *Coverage) Latencies() []float64 {
-	covered := c.TargetSize() - c.remaining
-	out := make([]float64, 0, covered)
-	switch {
-	case c.stride > 0:
-		c.forEachTarget(func(l topology.Link, cov bool, at float64) {
-			if cov {
-				out = append(out, at-c.born[l])
+	out := make([]float64, 0, c.size-c.remaining)
+	for i, at := range c.at {
+		if has(c.covered, i) {
+			if c.born != nil {
+				at -= c.born[i]
 			}
-		})
-	case c.csrTo != nil:
-		c.forEachTargetCSR(func(l topology.Link, cov bool, at float64) {
-			if cov {
-				out = append(out, at-c.born[l])
-			}
-		})
-	default:
-		for l, at := range c.first {
-			out = append(out, at-c.born[l])
+			out = append(out, at)
 		}
 	}
 	sort.Float64s(out)
@@ -413,45 +245,25 @@ func (c *Coverage) Complete() bool { return c.remaining == 0 }
 func (c *Coverage) Remaining() int { return c.remaining }
 
 // TargetSize returns the number of target links.
-func (c *Coverage) TargetSize() int {
-	if c.stride > 0 || c.csrTo != nil {
-		return c.targetSize
-	}
-	return len(c.target)
-}
+func (c *Coverage) TargetSize() int { return c.size }
 
 // Progress returns the covered fraction of the target in [0,1]; it is 1 for
 // an empty target.
 func (c *Coverage) Progress() float64 {
-	size := c.TargetSize()
-	if size == 0 {
+	if c.size == 0 {
 		return 1
 	}
-	return float64(size-c.remaining) / float64(size)
+	return float64(c.size-c.remaining) / float64(c.size)
 }
 
 // FirstCovered returns when link l was first covered. Only target links are
 // ever recorded.
 func (c *Coverage) FirstCovered(l topology.Link) (float64, bool) {
-	if c.stride > 0 {
-		if l.From < 0 || l.To < 0 || int(l.From) >= c.stride || int(l.To) >= c.stride {
-			return 0, false
-		}
-		idx := int(l.From)*c.stride + int(l.To)
-		if c.covered[idx>>6]&(uint64(1)<<(uint(idx)&63)) == 0 {
-			return 0, false
-		}
-		return c.denseAt[idx], true
+	i := c.index(l)
+	if i < 0 || !has(c.covered, i) {
+		return 0, false
 	}
-	if c.csrTo != nil {
-		i := c.csrIndex(l)
-		if i < 0 || c.csrCovered[i>>6]&(uint64(1)<<(uint(i)&63)) == 0 {
-			return 0, false
-		}
-		return c.csrAt[i], true
-	}
-	at, ok := c.first[l]
-	return at, ok
+	return c.at[i], true
 }
 
 // CompletionTime returns the time at which the last target link was covered.
@@ -461,61 +273,25 @@ func (c *Coverage) CompletionTime() (float64, bool) {
 		return 0, false
 	}
 	maxAt := 0.0
-	if c.stride > 0 {
-		c.forEachTarget(func(l topology.Link, cov bool, at float64) {
-			if cov && at > maxAt {
-				maxAt = at
-			}
-		})
-		return maxAt, true
-	}
-	if c.csrTo != nil {
-		c.forEachTargetCSR(func(l topology.Link, cov bool, at float64) {
-			if cov && at > maxAt {
-				maxAt = at
-			}
-		})
-		return maxAt, true
-	}
-	for l := range c.target {
-		if at := c.first[l]; at > maxAt {
+	for i, at := range c.at {
+		if at > maxAt && has(c.covered, i) {
 			maxAt = at
 		}
 	}
 	return maxAt, true
 }
 
-// Uncovered returns the target links not yet covered, in deterministic
-// order. Useful in failure diagnostics.
+// Uncovered returns the target links not yet covered, ascending by
+// (From, To). Useful in failure diagnostics.
 func (c *Coverage) Uncovered() []topology.Link {
 	var out []topology.Link
-	if c.stride > 0 {
-		c.forEachTarget(func(l topology.Link, cov bool, at float64) {
-			if !cov {
-				out = append(out, l)
+	for row := 0; row+1 < len(c.off); row++ {
+		for i := c.off[row]; i < c.off[row+1]; i++ {
+			if has(c.target, int(i)) && !has(c.covered, int(i)) {
+				out = append(out, topology.Link{From: topology.NodeID(row), To: c.to[i]})
 			}
-		})
-		return out // forEachTarget already ascends (From, To)
-	}
-	if c.csrTo != nil {
-		c.forEachTargetCSR(func(l topology.Link, cov bool, at float64) {
-			if !cov {
-				out = append(out, l)
-			}
-		})
-		return out // CSR construction order is ascending (From, To)
-	}
-	for l := range c.target {
-		if _, ok := c.first[l]; !ok {
-			out = append(out, l)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
 	return out
 }
 
@@ -523,26 +299,10 @@ func (c *Coverage) Uncovered() []topology.Link {
 // over target links, sorted by time. The curve starts implicitly at (−∞, 0);
 // each point is the cumulative count at that coverage instant.
 func (c *Coverage) Curve() []CurvePoint {
-	covered := c.TargetSize() - c.remaining
-	times := make([]float64, 0, covered)
-	switch {
-	case c.stride > 0:
-		c.forEachTarget(func(l topology.Link, cov bool, at float64) {
-			if cov {
-				times = append(times, at)
-			}
-		})
-	case c.csrTo != nil:
-		c.forEachTargetCSR(func(l topology.Link, cov bool, at float64) {
-			if cov {
-				times = append(times, at)
-			}
-		})
-	default:
-		for l := range c.target {
-			if at, ok := c.first[l]; ok {
-				times = append(times, at)
-			}
+	times := make([]float64, 0, c.size-c.remaining)
+	for i, at := range c.at {
+		if has(c.covered, i) {
+			times = append(times, at)
 		}
 	}
 	sort.Float64s(times)
@@ -561,6 +321,5 @@ type CurvePoint struct {
 
 // String summarizes progress.
 func (c *Coverage) String() string {
-	size := c.TargetSize()
-	return fmt.Sprintf("covered %d/%d links", size-c.remaining, size)
+	return fmt.Sprintf("covered %d/%d links", c.size-c.remaining, c.size)
 }

@@ -40,8 +40,8 @@ type SyncScratch struct {
 
 	// Batched-resolver state (see sync_resolve.go): per-slot transmitter
 	// word masks (channel-major, wordsPer words per channel), per-channel
-	// listener buckets, the lossy path's overlap buffer, the covered-link
-	// dedup bitmap, and the per-run pull/dispatch buffers.
+	// listener buckets, the lossy path's overlap buffer, and the per-run
+	// pull/dispatch buffers.
 	txWords   []uint64
 	avail1    []uint64
 	rx        [][]topology.NodeID
@@ -49,7 +49,6 @@ type SyncScratch struct {
 	rxList    []topology.NodeID
 	rxChs     []channel.ID
 	ovl       []uint64
-	covered   []uint64
 	hrs       []HeardReporter
 	us        []topology.NodeID
 	ks        []int
@@ -60,11 +59,6 @@ type SyncScratch struct {
 // networks stay on the scalar resolver (the sharded engine's tiled layout
 // is the planned path to large n, not a giant flat table).
 const syncMaskWordBudget = 1 << 20
-
-// syncCoveredNodeBudget caps the covered-link dedup bitmap (n² bits) at
-// n = 4096 — 2 MB; beyond that deliveries deduplicate in Coverage's map as
-// before.
-const syncCoveredNodeBudget = 4096
 
 // NewSyncScratch returns an empty scratch ready for use.
 func NewSyncScratch() *SyncScratch {
@@ -231,20 +225,6 @@ func (sc *SyncScratch) ovlBuf(wordsPer int) []uint64 {
 		sc.ovl = make([]uint64, wordsPer)
 	}
 	return sc.ovl[:0]
-}
-
-// coveredBuf returns the covered-link dedup bitmap (n² bits, bit
-// from·n+to), zeroed: every run starts with no link covered.
-func (sc *SyncScratch) coveredBuf(n int) []uint64 {
-	words := (n*n + 63) / 64
-	if cap(sc.covered) < words {
-		sc.covered = make([]uint64, words)
-	}
-	cov := sc.covered[:words]
-	for i := range cov {
-		cov[i] = 0
-	}
-	return cov
 }
 
 // runBufs returns the per-run dispatch buffers: the heard-reporter cache

@@ -225,8 +225,9 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	var coverage *metrics.Coverage
 	epochSlots := 0
 	if world != nil {
-		epochSlots, _ = world.EpochSlots()  // error ruled out by validate
-		coverage = metrics.NewCoverage(nil) // grows at epoch boundaries below
+		epochSlots, _ = world.EpochSlots() // error ruled out by validate
+		// The target starts empty and grows at epoch boundaries below.
+		coverage = metrics.NewCoverageWithin(world.Links())
 	} else {
 		coverage = metrics.NewCoverage(links)
 	}
@@ -331,9 +332,6 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	} else if run.useKernel && run.tiled == nil {
 		run.rxList, run.rxChs = sc.rxListBufs(n)
 	}
-	if world == nil && n <= syncCoveredNodeBudget {
-		run.covered = sc.coveredBuf(n)
-	}
 	run.hrs, run.us, run.ks, run.dec = sc.runBufs(n)
 	for u := 0; u < n; u++ {
 		run.us[u] = topology.NodeID(u) // phase1's static fast path reads us prefilled
@@ -342,7 +340,6 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		hr, _ := p.(HeardReporter)
 		run.hrs[u] = hr
 	}
-	reserveSyncProtocols(cfg.Protocols, n)
 
 	// Dynamic-run state: the current epoch snapshot (its candidate table
 	// shadows the static table through run.curCands, so the scalar resolver

@@ -63,7 +63,6 @@ type syncRun struct {
 	rxList    []topology.NodeID
 	rxChs     []channel.ID
 	ovl       []uint64
-	covered   []uint64
 	hrs       []HeardReporter
 	us        []topology.NodeID
 	ks        []int
@@ -103,25 +102,6 @@ type syncRun struct {
 	// fields stay zero for these event kinds, so reusing the value emits
 	// exactly the events the per-emission literals did.
 	ev Event
-}
-
-// NeighborReserver is optionally implemented by protocols whose discovery
-// state can be pre-sized to the network: the engines call it once per run
-// with the node count, replacing per-discovery growth cascades with one
-// sized allocation. Implementations must not change results — reserving
-// moves allocation timing only (core's NeighborTable.Reserve is the model).
-type NeighborReserver interface {
-	ReserveNeighbors(n int)
-}
-
-// reserveSyncProtocols announces the network size to every protocol that
-// can use it.
-func reserveSyncProtocols(protos []SyncProtocol, n int) {
-	for _, p := range protos {
-		if r, ok := p.(NeighborReserver); ok {
-			r.ReserveNeighbors(n)
-		}
-	}
 }
 
 // phase1 collects the slot's active nodes, pulls their decisions through
@@ -434,10 +414,9 @@ func (r *syncRun) resolveScalar(slot int) {
 }
 
 // deliver is the shared delivery tail: message construction with the
-// per-run heard-reporter cache, protocol delivery, covered-link
-// deduplication in front of the coverage oracle (static runs; a repeat
-// observation of a seen link is a no-op there, so skipping it is pure),
-// and the delivery event.
+// per-run heard-reporter cache, protocol delivery, the coverage oracle
+// (which ignores repeat observations of a covered link), and the delivery
+// event.
 //
 //nd:hotpath
 func (r *syncRun) deliver(sender, uid topology.NodeID, c channel.ID, slot int) {
@@ -446,16 +425,7 @@ func (r *syncRun) deliver(sender, uid topology.NodeID, c channel.ID, slot int) {
 		msg.Heard = copyHeard(hr.Heard())
 	}
 	r.protos[uid].Deliver(msg)
-	if r.covered != nil {
-		idx := int(sender)*r.n + int(uid)
-		w, bit := idx>>6, uint64(1)<<(uint(idx)&63)
-		if r.covered[w]&bit == 0 {
-			r.covered[w] |= bit
-			r.coverage.Observe(topology.Link{From: sender, To: uid}, float64(slot))
-		}
-	} else {
-		r.coverage.Observe(topology.Link{From: sender, To: uid}, float64(slot))
-	}
+	r.coverage.Observe(topology.Link{From: sender, To: uid}, float64(slot))
 	if r.wantDeliver {
 		r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventDeliver, sender, uid, c
 		r.obs.OnEvent(r.ev)

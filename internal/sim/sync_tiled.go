@@ -23,8 +23,8 @@ import (
 //	         tiles' segments, intersect each listener's halo-local
 //	         candidate row (topology.TileMasks) against it, and deliver
 //	         unique survivors to the listener's protocol;
-//	apply    the caller, sequentially in ascending tile order: covered-link
-//	         dedup and coverage bookkeeping for the phase's deliveries.
+//	apply    the caller, sequentially in ascending tile order: coverage
+//	         bookkeeping for the phase's deliveries.
 //
 // Byte-identity with the single-threaded engine at matched seed rests on
 // the same argument as the batched (channel-major) path, whose
@@ -195,22 +195,14 @@ func (r *syncRun) tiledSlot(slot int) error {
 
 	tr.pool.Run(len(tr.tiles), tr.fnB)
 
-	// Sequential apply: coverage bookkeeping shares state across tiles
-	// (dedup bitmap words, the coverage oracle), so it runs on the caller
-	// in ascending tile order. Within-slot order is invisible in results —
-	// every delivery carries the same slot stamp and each link is observed
-	// at most once per slot — so any fixed order matches the serial engine.
+	// Sequential apply: the coverage oracle is shared across tiles, so it
+	// runs on the caller in ascending tile order. Within-slot order is
+	// invisible in results — every delivery carries the same slot stamp and
+	// each link is observed at most once per slot — so any fixed order
+	// matches the serial engine.
 	for t := range tr.tiles {
 		ts := &tr.tiles[t]
 		for _, d := range ts.deliv {
-			if r.covered != nil {
-				idx := int(d.from)*r.n + int(d.to)
-				w, bit := idx>>6, uint64(1)<<(uint(idx)&63)
-				if r.covered[w]&bit != 0 {
-					continue
-				}
-				r.covered[w] |= bit
-			}
 			r.coverage.Observe(topology.Link{From: d.from, To: d.to}, float64(slot))
 		}
 	}

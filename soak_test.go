@@ -72,7 +72,7 @@ func TestSoakLargeNetwork(t *testing.T) {
 }
 
 // TestSoakScale300 pushes the synchronous path to 300 nodes — the regime
-// the grid-bucket generator, dense neighbor tables, and trial-scoped
+// the grid-bucket generator, compact neighbor tables, and trial-scoped
 // scratch reuse target. Three trials run through RunTrials so the
 // per-worker scratch seam is exercised across consecutive runs, with full
 // table verification on each report. Skipped under -short.
