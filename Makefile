@@ -69,16 +69,15 @@ bench:
 soak-1m:
 	$(GO) run ./cmd/ndperf -soak1m
 
-# Off-CI fuzz soak: every testing.F target in the module, FUZZTIME each
-# (go test fuzzes one target per invocation). Plain `go test` only replays
+# Off-CI fuzz soak: every testing.F target in the module, 60s each (go
+# test fuzzes one target per invocation). Plain `go test` only replays
 # the seed corpora committed under each package's testdata/fuzz; new
 # failing inputs land there too, ready to commit as regression seeds.
-FUZZTIME ?= 60s
 fuzz-soak:
 	@set -e; for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' "$$pkg" | grep '^Fuzz' || true); do \
-			echo "== $$pkg $$target ($(FUZZTIME))"; \
-			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) "$$pkg"; \
+			echo "== $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 60s "$$pkg"; \
 		done; \
 	done
 

@@ -202,7 +202,7 @@ func FuzzNeighborTable(f *testing.F) {
 			var s channel.Set
 			for c := 0; c < 8; c++ {
 				if b&(1<<c) != 0 {
-					s.Add(channel.ID(c * 9)) // spans two words
+					s.Add(channel.ID(c * 17)) // IDs up to 119 span two words
 				}
 			}
 			return s

@@ -201,8 +201,9 @@ type World struct {
 	allActive []bool                 // shared all-true Active for churn-free worlds
 	nodesBuf  []topology.Node        // mobility rebuild buffer: positions updated per epoch
 
-	epochs []*Epoch        // memo, built sequentially from epoch 0
-	links  []topology.Link // memo of Links; nil until first asked
+	epochs    []*Epoch        // memo, built sequentially from epoch 0
+	links     []topology.Link // memo of Links(linksLast); nil until first asked
+	linksLast int
 }
 
 // NewWorld draws the full dynamic schedule for horizon epochs over base
@@ -389,27 +390,30 @@ func (w *World) At(e int) *Epoch {
 	return w.epochs[e]
 }
 
-// Links returns the link universe of the whole schedule: the union of
-// every epoch's Links through the horizon, ascending by (From, To) with no
-// duplicates. A coverage built over it (metrics.NewCoverageWithin) accepts
-// every link any epoch adds to its target. The first call builds every
-// epoch snapshot; the union is memoized, shared and read-only.
-func (w *World) Links() []topology.Link {
-	if w.links != nil {
+// Links returns the link universe of epochs 0 through last (clamped to
+// [0, Horizon−1], like At): the union of their Links, ascending by
+// (From, To) with no duplicates. A coverage built over it
+// (metrics.NewCoverageWithin) accepts every link those epochs add to its
+// target. It builds the snapshots through last; the union for the most
+// recent last is memoized, shared and read-only.
+func (w *World) Links(last int) []topology.Link {
+	last = min(max(last, 0), w.horizon-1)
+	if w.links != nil && w.linksLast == last {
 		return w.links
 	}
-	w.At(w.horizon - 1)
+	w.At(last)
+	epochs := w.epochs[:last+1]
 	// Quiet epochs share their predecessor's slice; add each once, into
 	// one allocation sized up front.
-	fresh := func(e int) bool { return e == 0 || !sameLinks(w.epochs[e].Links, w.epochs[e-1].Links) }
+	fresh := func(e int) bool { return e == 0 || !sameLinks(epochs[e].Links, epochs[e-1].Links) }
 	total := 0
-	for e, ep := range w.epochs {
+	for e, ep := range epochs {
 		if fresh(e) {
 			total += len(ep.Links)
 		}
 	}
 	all := make([]topology.Link, 0, total)
-	for e, ep := range w.epochs {
+	for e, ep := range epochs {
 		if fresh(e) {
 			all = append(all, ep.Links...)
 		}
@@ -421,6 +425,7 @@ func (w *World) Links() []topology.Link {
 		return cmp.Compare(a.To, b.To)
 	})
 	w.links = slices.Compact(all) // non-nil even when empty, so the memo holds
+	w.linksLast = last
 	return w.links
 }
 

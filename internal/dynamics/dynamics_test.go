@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"fmt"
 	"testing"
 
 	"m2hew/internal/channel"
@@ -364,10 +365,11 @@ func BenchmarkEpochRebuild(b *testing.B) {
 }
 
 // TestWorldLinks checks the link universe on churn, primary-user, mobility
-// and combined specs: ascending by (From, To) with no duplicates, a
-// superset of every epoch's Links (so every AddTarget an engine makes lands
-// inside a coverage built over it), holding no link that no epoch has, and
-// memoized.
+// and combined specs, for bounds at, inside and past the horizon: ascending
+// by (From, To) with no duplicates, a superset of the Links of every epoch
+// through the bound (so every AddTarget an engine makes lands inside a
+// coverage built over it), holding no link those epochs lack, building no
+// snapshot past the bound, and memoized.
 func TestWorldLinks(t *testing.T) {
 	specs := map[string]Spec{
 		"churn":    {EpochLen: 10, Churn: &Churn{JoinFraction: 0.6, JoinWindow: 10, LeaveFraction: 0.5, LeaveWindow: 12}},
@@ -381,45 +383,61 @@ func TestWorldLinks(t *testing.T) {
 		},
 		"static": {EpochLen: 10},
 	}
+	const horizon = 16
 	for name, spec := range specs {
-		t.Run(name, func(t *testing.T) {
-			const horizon = 16
-			w, err := NewWorld(testNet(t, 12, 18), spec, horizon, rng.New(13))
-			if err != nil {
-				t.Fatal(err)
-			}
-			u := w.Links()
-			for i := 1; i < len(u); i++ {
-				a, b := u[i-1], u[i]
-				if a.From > b.From || (a.From == b.From && a.To >= b.To) {
-					t.Fatalf("universe not strictly ascending at %d: %v, %v", i, a, b)
+		for _, bound := range []int{-1, 0, 5, horizon - 1, horizon + 4} {
+			t.Run(fmt.Sprintf("%s/last=%d", name, bound), func(t *testing.T) {
+				w, err := NewWorld(testNet(t, 12, 18), spec, horizon, rng.New(13))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			in := make(map[topology.Link]bool, len(u))
-			for _, l := range u {
-				in[l] = true
-			}
-			seen := map[topology.Link]bool{}
-			distinct := map[int]bool{}
-			for e := 0; e < horizon; e++ {
-				links := w.At(e).Links
-				distinct[len(links)] = true
-				for _, l := range links {
-					if !in[l] {
-						t.Fatalf("epoch %d link %v missing from the universe", e, l)
+				last := min(max(bound, 0), horizon-1)
+				u := w.Links(bound)
+				if len(w.epochs) != last+1 {
+					t.Fatalf("built %d snapshots for last epoch %d", len(w.epochs), last)
+				}
+				for i := 1; i < len(u); i++ {
+					a, b := u[i-1], u[i]
+					if a.From > b.From || (a.From == b.From && a.To >= b.To) {
+						t.Fatalf("universe not strictly ascending at %d: %v, %v", i, a, b)
 					}
-					seen[l] = true
 				}
-			}
-			if len(seen) != len(u) {
-				t.Fatalf("universe has %d links, epochs only %d", len(u), len(seen))
-			}
-			if name != "static" && len(distinct) < 2 {
-				t.Fatal("link set never changed; fixture exercises no dynamics")
-			}
-			if again := w.Links(); len(again) > 0 && &again[0] != &u[0] {
-				t.Fatal("Links not memoized")
-			}
-		})
+				in := make(map[topology.Link]bool, len(u))
+				for _, l := range u {
+					in[l] = true
+				}
+				seen := map[topology.Link]bool{}
+				for e := 0; e <= last; e++ {
+					for _, l := range w.At(e).Links {
+						if !in[l] {
+							t.Fatalf("epoch %d link %v missing from the universe", e, l)
+						}
+						seen[l] = true
+					}
+				}
+				if len(seen) != len(u) {
+					t.Fatalf("universe has %d links, epochs only %d", len(u), len(seen))
+				}
+				if again := w.Links(last); len(again) > 0 && &again[0] != &u[0] {
+					t.Fatal("Links not memoized")
+				}
+			})
+		}
+		// The fixtures must exercise dynamics: the link set changes within
+		// the horizon.
+		if name == "static" {
+			continue
+		}
+		w, err := NewWorld(testNet(t, 12, 18), spec, horizon, rng.New(13))
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := map[int]bool{}
+		for e := 0; e < horizon; e++ {
+			distinct[len(w.At(e).Links)] = true
+		}
+		if len(distinct) < 2 {
+			t.Errorf("%s: link set never changed; fixture exercises no dynamics", name)
+		}
 	}
 }

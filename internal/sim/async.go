@@ -353,15 +353,15 @@ func (env *asyncEnv) generate(v int, st Stepper) error {
 
 // asyncCoverage builds an asynchronous run's coverage target: the static
 // network's discoverable links, or — for dynamic runs, inside the world's
-// link universe — the union of epoch link sets through the epoch containing
-// horizon (a real time), each link born at the start time of its first
-// epoch.
+// link universe through the same epoch — the union of epoch link sets
+// through the epoch containing horizon (a real time), each link born at the
+// start time of its first epoch.
 func asyncCoverage(nw *topology.Network, world *dynamics.World, horizon float64) *metrics.Coverage {
 	if world == nil {
 		return metrics.NewCoverage(nw.DiscoverableLinks())
 	}
-	coverage := metrics.NewCoverageWithin(world.Links())
 	last := world.EpochOf(horizon)
+	coverage := metrics.NewCoverageWithin(world.Links(last))
 	for e := 0; e <= last; e++ {
 		ep := world.At(e)
 		birth := float64(e) * world.EpochLen()

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"m2hew/internal/metrics"
 	"m2hew/internal/radio"
 	"m2hew/internal/topology"
 )
@@ -104,9 +105,16 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 	// as the chronological pass crosses epoch boundaries (announceEpoch),
 	// so every delivery finds its link already targeted: a delivered link
 	// existed in the epoch of its listening frame's start, which the
-	// advance below reaches before that frame resolves.
+	// advance below reaches before that frame resolves. Which epochs the
+	// pass reaches is known only as frames generate, so the universe spans
+	// the whole schedule.
 	world := cfg.Dynamics
-	coverage := asyncCoverage(nw, world, 0)
+	var coverage *metrics.Coverage
+	if world == nil {
+		coverage = metrics.NewCoverage(nw.DiscoverableLinks())
+	} else {
+		coverage = metrics.NewCoverageWithin(world.Links(world.Horizon() - 1))
+	}
 	result := &AsyncResult{Ts: ts, Coverage: coverage, Timelines: timelines, FrameBudget: cfg.MaxFrames} //ndlint:ignore scratchalias Timelines ownership transfers per the RecycleTimelines contract
 
 	announceEpoch := func(e int) {
@@ -130,7 +138,7 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 	}
 	nextEpoch := 1
 	if world != nil {
-		announceEpoch(0) // target links already added by asyncCoverage; re-adds are no-ops
+		announceEpoch(0)
 	}
 
 	for {

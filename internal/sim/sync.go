@@ -226,8 +226,9 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	epochSlots := 0
 	if world != nil {
 		epochSlots, _ = world.EpochSlots() // error ruled out by validate
-		// The target starts empty and grows at epoch boundaries below.
-		coverage = metrics.NewCoverageWithin(world.Links())
+		// The universe spans the epochs MaxSlots reaches; the target
+		// starts empty and grows at epoch boundaries below.
+		coverage = metrics.NewCoverageWithin(world.Links((cfg.MaxSlots - 1) / epochSlots))
 	} else {
 		coverage = metrics.NewCoverage(links)
 	}
