@@ -290,6 +290,72 @@ func TestFirstFullFrameAfter(t *testing.T) {
 			t.Errorf("FirstFullFrameAfter(%v) = %d, want %d", tt.rt, got, tt.want)
 		}
 	}
+
+	// Differential check against a linear scan from frame 0, on drifting
+	// timelines, at boundary-exact times and just inside and outside the
+	// relative epsilon. Each query runs on a fresh timeline (cold cache) and
+	// on one shared timeline whose cache earlier queries already grew.
+	drifts := []struct {
+		name  string
+		drift func() DriftProcess
+	}{
+		{"randomwalk", func() DriftProcess {
+			w, err := NewRandomWalk(MaxAsyncDrift, 0.03, rng.New(4242))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}},
+		{"alternating", func() DriftProcess {
+			a, err := NewAlternating(MaxAsyncDrift, 5, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}},
+	}
+	r := rng.New(7)
+	for _, d := range drifts {
+		name := d.name
+		newTL := func() *Timeline {
+			tl, err := NewTimeline(3.25, 1.5, 3, d.drift())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tl
+		}
+		ref, warm := newTL(), newTL()
+		var queries []float64
+		for i := 0; i < 200; i++ {
+			start, _ := ref.SlotInterval(r.IntN(1500))
+			eps := 1e-9 * math.Max(1, math.Abs(start))
+			queries = append(queries, start, start-eps/2, start+eps/2, start-2*eps, start+2*eps,
+				r.UniformFloat64(0, start+5))
+		}
+		for _, rt := range queries {
+			want := firstFullFrameAfterLinear(ref, rt)
+			if got := newTL().FirstFullFrameAfter(rt); got != want {
+				t.Errorf("%s: cold FirstFullFrameAfter(%v) = %d, linear scan %d", name, rt, got, want)
+			}
+			if got := warm.FirstFullFrameAfter(rt); got != want {
+				t.Errorf("%s: warm FirstFullFrameAfter(%v) = %d, linear scan %d", name, rt, got, want)
+			}
+		}
+	}
+}
+
+// firstFullFrameAfterLinear is the reference FirstFullFrameAfter: scan
+// frame starts from frame 0 under the same relative-epsilon rule.
+func firstFullFrameAfterLinear(tl *Timeline, rt float64) int {
+	if rt <= tl.Start() {
+		return 0
+	}
+	eps := 1e-9 * math.Max(1, math.Abs(rt))
+	for f := 0; ; f++ {
+		if start, _ := tl.FrameInterval(f); start >= rt-eps {
+			return f
+		}
+	}
 }
 
 func TestNegativeIndicesPanic(t *testing.T) {

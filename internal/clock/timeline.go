@@ -184,15 +184,16 @@ func (t *Timeline) FirstFullFrameAfter(rt float64) int {
 	// Slot boundaries accumulate floating-point error; treat starts within a
 	// relative epsilon of rt as "at or after" so exact-boundary queries are
 	// stable.
-	eps := 1e-9 * math.Max(1, math.Abs(rt))
-	f := 0
-	for {
-		start, _ := t.FrameInterval(f)
-		if start >= rt-eps {
-			return f
-		}
-		f++
+	at := rt - 1e-9*math.Max(1, math.Abs(rt))
+	// Grow the cache geometrically, as FullFramesBy does, until its last
+	// cached frame start reaches at; then binary-search the frame starts.
+	k := t.slotsPerFrame
+	for t.bounds[(len(t.bounds)-1)/k*k] < at {
+		t.extendTo(len(t.bounds)*2 - 1)
 	}
+	return sort.Search((len(t.bounds)-1)/k+1, func(f int) bool {
+		return t.bounds[f*k] >= at
+	})
 }
 
 // LocalToReal converts a local-clock instant (seconds since the node's

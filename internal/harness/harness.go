@@ -103,6 +103,10 @@ func RunScratch(n int, fn func(i int, sc *Scratch) error) error {
 // prepared jobs on a worker pool. Results are returned in trial order. On
 // error the lowest-indexed failure is returned (from either phase; a setup
 // error aborts before any worker starts).
+//
+// The pipeline holds each job only until its run returns, so memory the job
+// owns (protocols, drift memos) can be collected while later trials still
+// run, unless a result or the caller still references it.
 func Trials[J, R any](trials int, setup func(trial int) (J, error), run func(trial int, job J) (R, error)) ([]R, error) {
 	return TrialsScratch(trials, setup,
 		func(trial int, job J, _ *Scratch) (R, error) { return run(trial, job) })
@@ -111,7 +115,8 @@ func Trials[J, R any](trials int, setup func(trial int) (J, error), run func(tri
 // TrialsScratch is Trials with the per-worker engine scratch threaded into
 // the run phase (see RunScratch). Experiments whose run function calls an
 // engine directly pass the scratch into the engine config; everything about
-// ordering, determinism and error reporting is identical to Trials.
+// ordering, determinism, error reporting and releasing each job once its
+// run returns is identical to Trials.
 func TrialsScratch[J, R any](trials int, setup func(trial int) (J, error), run func(trial int, job J, sc *Scratch) (R, error)) ([]R, error) {
 	jobs := make([]J, trials)
 	for trial := 0; trial < trials; trial++ {
@@ -124,6 +129,8 @@ func TrialsScratch[J, R any](trials int, setup func(trial int) (J, error), run f
 	results := make([]R, trials)
 	err := RunScratch(trials, func(i int, sc *Scratch) error {
 		r, err := run(i, jobs[i], sc)
+		var zero J
+		jobs[i] = zero // drop the job now, not when the whole batch ends
 		if err != nil {
 			return err
 		}

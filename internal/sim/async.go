@@ -193,7 +193,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	// drift rng, exactly as they did when frames were generated eagerly.
 	slotBudget := cfg.MaxFrames * slotsPerFrame
 	timelines := sc.timelineSlice(n)
-	frames, starts := sc.frameTables(n, cfg.MaxFrames, 0) // appended to as frames generate
+	frames := sc.frameTables(n, cfg.MaxFrames, 0) // appended to as frames generate
 	ts := 0.0
 	for u := 0; u < n; u++ {
 		nc := cfg.Nodes[u]
@@ -222,7 +222,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	// resolves, every candidate transmitter is generated out to the frame's
 	// end, which is exactly the coverage collectSlots needs.
 	cands, msgAvail := sc.networkTables(nw)
-	env := sc.envFor(nw, cands, frames, starts, timelines, slotsPerFrame, cfg.Loss)
+	env := sc.envFor(nw, cands, frames, timelines, slotsPerFrame, cfg.Loss)
 	env.world = cfg.Dynamics
 	deliveries := sc.deliveryBuf()
 	maxEnd := 0.0
@@ -347,7 +347,6 @@ func (env *asyncEnv) generate(v int, st Stepper) error {
 	}
 	fs, fe := env.timelines[v].FrameInterval(f)
 	env.frames[v] = append(env.frames[v], asyncFrame{start: fs, end: fe, action: a})
-	env.starts[v] = append(env.starts[v], fs)
 	return nil
 }
 

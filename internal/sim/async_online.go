@@ -53,9 +53,9 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 	}
 	slotBudget := cfg.MaxFrames * slotsPerFrame
 	timelines := sc.timelineSlice(n)
-	frames, starts := sc.frameTables(n, cfg.MaxFrames, 0) // appended to as frames generate
+	frames := sc.frameTables(n, cfg.MaxFrames, 0) // appended to as frames generate
 	cands, msgAvail := sc.networkTables(nw)
-	env := sc.envFor(nw, cands, frames, starts, timelines, slotsPerFrame, cfg.Loss)
+	env := sc.envFor(nw, cands, frames, timelines, slotsPerFrame, cfg.Loss)
 	env.world = cfg.Dynamics
 	ts := 0.0
 	for u := 0; u < n; u++ {

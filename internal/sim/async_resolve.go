@@ -45,7 +45,6 @@ type asyncEnv struct {
 	cands         [][]topology.Candidate // per listener: decodable transmitters
 	world         *dynamics.World        // nil for static runs
 	frames        [][]asyncFrame
-	starts        [][]float64 // frame start times per node, for binary search
 	timelines     []*clock.Timeline
 	slotsPerFrame int
 	loss          *LossModel
@@ -56,6 +55,7 @@ type asyncEnv struct {
 	flagBuf  []bool     // per collected slot: overlapped by no other sender?
 	outBuf   []delivery // resolved deliveries (returned; valid until next call)
 	seenBuf  []bool     // per node: already delivered this frame (reset per frame)
+	cursor   []int32    // per sender: its last frameLowerBound answer, the next hint
 
 	// lastCollected is the number of candidate transmission slots the most
 	// recent resolveFrame call collected (0 for non-listening frames) —
@@ -92,11 +92,12 @@ func (env *asyncEnv) candsFor(uid topology.NodeID, g asyncFrame) []topology.Cand
 //   - at most one delivery per sender per frame is reported, at the end
 //     time of the earliest clear slot.
 //
-// The overlap test runs as a sort-by-start interval sweep (see clearFlags)
-// instead of the quadratic all-pairs scan resolveFrameNaive keeps as the
-// reference implementation; differential tests pin the two to identical
-// output, including loss-model draw order (all draws happen during
-// collection, which both share).
+// Collection finds each sender's overlapping frames from a per-sender
+// cursor (see frameLowerBound), and the overlap test runs as a
+// sort-by-start interval sweep (see clearFlags). The test-only reference,
+// resolveFrameNaive, walks every frame and checks all pairs instead;
+// differential tests pin the two to identical output, including loss-model
+// draw order (all draws happen during collection, in the same order).
 //
 // Frames of neighbors must cover the real-time extent of g; the caller
 // guarantees this (RunAsync generates everything up front, RunAsyncOnline
@@ -152,6 +153,11 @@ func (env *asyncEnv) resolveFrame(uid topology.NodeID, g asyncFrame) []delivery 
 func (env *asyncEnv) collectSlots(uid topology.NodeID, g asyncFrame) []txSlot {
 	c := g.action.Channel
 	slots := env.txBuf[:0]
+	// Length check, as for seenBuf: stale hints are harmless, since
+	// frameLowerBound is exact for any hint.
+	if len(env.cursor) < env.nw.N() {
+		env.cursor = make([]int32, env.nw.N())
+	}
 	// The candidate table walks the same ascending-neighbor order as
 	// Neighbors(uid) with the Reaches and non-empty-span filters resolved up
 	// front; both filters precede every loss draw, so the draw sequence is
@@ -164,20 +170,10 @@ func (env *asyncEnv) collectSlots(uid topology.NodeID, g asyncFrame) []txSlot {
 		w := cand.From
 		wf := env.frames[w]
 		// First frame of w possibly overlapping g: the one before the
-		// first frame starting at or after g.start. Hand-rolled lower
-		// bound — equivalent to sort.SearchFloat64s, minus the per-probe
-		// closure call that dominated the resolver's profile.
-		ws := env.starts[w][:len(wf)]
-		lo, hi := 0, len(ws)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if ws[mid] < g.start {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		idx := lo
+		// first frame starting at or after g.start.
+		lb := frameLowerBound(wf, int(env.cursor[w]), g.start)
+		env.cursor[w] = int32(lb)
+		idx := lb
 		if idx > 0 {
 			idx--
 		}
@@ -207,6 +203,45 @@ func (env *asyncEnv) collectSlots(uid topology.NodeID, g asyncFrame) []txSlot {
 	}
 	env.txBuf = slots
 	return slots
+}
+
+// frameLowerBound returns the first index i with fr[i].start >= x, or
+// len(fr) if there is none, for frames sorted by strictly increasing start.
+// It gallops out from hint in doubling steps, then bisects the bracketed
+// range, so an answer d frames from the hint costs O(log d) probes. The
+// result is exact for any hint, including negative or past-the-end ones.
+// Listeners resolve their frames in ascending order in RunAsync, and all
+// frames resolve in global frame-end order in RunAsyncOnline, so a sender's
+// next answer is almost always within a frame or two of its previous one.
+//
+//nd:hotpath
+func frameLowerBound(fr []asyncFrame, hint int, x float64) int {
+	hint = min(max(hint, 0), len(fr))
+	// Invariant: fr[i].start < x for i < lo, and >= x for i >= hi.
+	lo, hi := hint, hint
+	if hint < len(fr) && fr[hint].start < x {
+		lo, hi = hint+1, hint+1
+		for step := 1; hi < len(fr) && fr[hi].start < x; step <<= 1 {
+			lo = hi + 1
+			hi += step
+		}
+		hi = min(hi, len(fr))
+	} else {
+		for step := 1; lo > 0 && fr[lo-1].start >= x; step <<= 1 {
+			hi = lo - 1
+			lo -= step
+		}
+		lo = max(lo, 0)
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if fr[mid].start < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // cmpIdxSlotStart orders sweep slots by start time. Ties may sort either
@@ -322,42 +357,4 @@ func (env *asyncEnv) clearFlags(slots []txSlot) []bool {
 		}
 	}
 	return flags
-}
-
-// resolveFrameNaive is the reference resolver: the pre-optimization
-// quadratic clear-check kept verbatim, allocating fresh state per frame, so
-// differential tests can pin the sweep-based resolveFrame to it. The
-// loss-model draw order lives entirely in the shared collection phase, so
-// the two consume identical draw sequences. Production engines never call
-// this.
-func (env *asyncEnv) resolveFrameNaive(uid topology.NodeID, g asyncFrame) []delivery {
-	if g.action.Mode != radio.Receive {
-		return nil
-	}
-	slots := env.collectSlots(uid, g)
-	var out []delivery
-	delivered := make(map[topology.NodeID]bool)
-	for i, cand := range slots {
-		if delivered[cand.from] {
-			continue
-		}
-		if cand.start < g.start || cand.end > g.end {
-			continue // partially heard: cannot be decoded
-		}
-		clear := true
-		for j, other := range slots {
-			if i == j || other.from == cand.from {
-				continue
-			}
-			if other.start < cand.end && cand.start < other.end {
-				clear = false
-				break
-			}
-		}
-		if clear {
-			delivered[cand.from] = true
-			out = append(out, delivery{at: cand.end, from: cand.from, to: uid, ch: g.action.Channel})
-		}
-	}
-	return out
 }

@@ -254,6 +254,52 @@ func BenchmarkRunAsyncN100(b *testing.B) {
 	}
 }
 
+// BenchmarkRunAsyncLongHorizon runs the asynchronous engine in E17's shape:
+// a 16-node primary-user CR network, 30 000 frames per node under
+// random-walk drift, on one reused scratch as a harness worker would. Over
+// a horizon this long, finding each candidate's overlapping frames is the
+// dominant per-frame cost.
+func BenchmarkRunAsyncLongHorizon(b *testing.B) {
+	r := rng.New(17)
+	nw, err := topology.GeometricConnected(16, 0.66, r, 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := topology.AssignPrimaryUsers(nw, 8, 10, 0.3, r); err != nil {
+		b.Fatal(err)
+	}
+	deltaEst := 2
+	for deltaEst < nw.ComputeParams().Delta {
+		deltaEst *= 2
+	}
+	scratch := NewAsyncScratch()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		root := rng.New(uint64(i) + 1)
+		nodes := make([]AsyncNode, nw.N())
+		for u := range nodes {
+			p, err := core.NewAsync(nw.Avail(topology.NodeID(u)), deltaEst, root.Split())
+			if err != nil {
+				b.Fatal(err)
+			}
+			drift, err := clock.NewRandomWalk(clock.MaxAsyncDrift, 0.03, root.Split())
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodes[u] = AsyncNode{Protocol: p, Drift: drift}
+		}
+		if _, err := RunAsync(AsyncConfig{
+			Network:   nw,
+			Nodes:     nodes,
+			FrameLen:  3,
+			MaxFrames: 30000,
+			Scratch:   scratch,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAdmissibleSequence(b *testing.B) {
 	w1, err := clock.NewRandomWalk(clock.MaxAsyncDrift, 0.03, rng.New(1))
 	if err != nil {

@@ -20,6 +20,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"testing"
 
 	"m2hew/internal/clock"
@@ -143,44 +145,101 @@ func TestSyncLossDrawOrderLocked(t *testing.T) {
 	}
 }
 
-// scriptedAsyncEnv builds an asyncEnv directly from per-node frame scripts,
-// the way the engines do, so resolver tests can drive resolveFrame without
-// a full engine run.
-func scriptedAsyncEnv(t *testing.T, nw *topology.Network, script [][]radio.Action,
+// scriptedAsyncEnv builds an asyncEnv from per-node frame scripts on the
+// scratch's embedded env, the way the engines do, so resolver tests can
+// drive resolveFrame without a full engine run. A scratch that already
+// resolved frames carries its buffers and cursor hints over, as across
+// engine runs.
+func scriptedAsyncEnv(t *testing.T, sc *AsyncScratch, nw *topology.Network, script [][]radio.Action,
 	starts []float64, frameLen float64, slotsPerFrame int, loss *LossModel) *asyncEnv {
 	t.Helper()
 	n := nw.N()
-	env := &asyncEnv{
-		nw:            nw,
-		cands:         nw.InboundCandidates(),
-		frames:        make([][]asyncFrame, n),
-		starts:        make([][]float64, n),
-		timelines:     make([]*clock.Timeline, n),
-		slotsPerFrame: slotsPerFrame,
-		loss:          loss,
-	}
+	frames := make([][]asyncFrame, n)
+	timelines := make([]*clock.Timeline, n)
 	for u := 0; u < n; u++ {
 		tl, err := clock.NewTimeline(starts[u], frameLen, slotsPerFrame, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		env.timelines[u] = tl
-		env.frames[u] = make([]asyncFrame, len(script[u]))
-		env.starts[u] = make([]float64, len(script[u]))
+		timelines[u] = tl
+		frames[u] = make([]asyncFrame, len(script[u]))
 		for f, a := range script[u] {
 			fs, fe := tl.FrameInterval(f)
-			env.frames[u][f] = asyncFrame{start: fs, end: fe, action: a}
-			env.starts[u][f] = fs
+			frames[u][f] = asyncFrame{start: fs, end: fe, action: a}
 		}
 	}
-	return env
+	return sc.envFor(nw, nw.InboundCandidates(), frames, timelines, slotsPerFrame, loss)
+}
+
+// resolveFrameNaive is the reference resolver: the pre-optimization
+// quadratic clear-check, allocating fresh state per frame, over its own
+// slot collection that walks every frame of each candidate instead of
+// searching for the overlapping ones. Filters and loss draws happen in the
+// production collection order (ascending candidate, then frame, then
+// slot), so the two resolvers consume identical draw sequences.
+func (env *asyncEnv) resolveFrameNaive(uid topology.NodeID, g asyncFrame) []delivery {
+	if g.action.Mode != radio.Receive {
+		return nil
+	}
+	c := g.action.Channel
+	var slots []txSlot
+	for _, cand := range env.candsFor(uid, g) {
+		if !cand.Span.Contains(c) {
+			continue
+		}
+		w := cand.From
+		for f, fr := range env.frames[w] {
+			if fr.end <= g.start || fr.start >= g.end {
+				continue
+			}
+			if fr.action.Mode != radio.Transmit || fr.action.Channel != c {
+				continue
+			}
+			for s := 0; s < env.slotsPerFrame; s++ {
+				ss, se := env.timelines[w].FrameSlotInterval(f, s)
+				if se <= g.start || ss >= g.end {
+					continue
+				}
+				if env.loss.erased() {
+					continue
+				}
+				slots = append(slots, txSlot{start: ss, end: se, from: w})
+			}
+		}
+	}
+	var out []delivery
+	delivered := make(map[topology.NodeID]bool)
+	for i, cand := range slots {
+		if delivered[cand.from] {
+			continue
+		}
+		if cand.start < g.start || cand.end > g.end {
+			continue // partially heard: cannot be decoded
+		}
+		clear := true
+		for j, other := range slots {
+			if i == j || other.from == cand.from {
+				continue
+			}
+			if other.start < cand.end && cand.start < other.end {
+				clear = false
+				break
+			}
+		}
+		if clear {
+			delivered[cand.from] = true
+			out = append(out, delivery{at: cand.end, from: cand.from, to: uid, ch: g.action.Channel})
+		}
+	}
+	return out
 }
 
 // randomAsyncScript builds a random network plus per-node frame scripts and
-// start offsets for resolver-level tests.
-func randomAsyncScript(t *testing.T, r *rng.Source) (*topology.Network, [][]radio.Action, []float64, float64, int) {
+// start offsets for resolver-level tests. Node and frame counts are
+// multiplied by scale.
+func randomAsyncScript(t *testing.T, r *rng.Source, scale int) (*topology.Network, [][]radio.Action, []float64, float64, int) {
 	t.Helper()
-	n := r.IntN(5) + 2
+	n := scale * (r.IntN(5) + 2)
 	universe := r.IntN(3) + 1
 	nw, err := topology.ErdosRenyi(n, 0.6, r)
 	if err != nil {
@@ -195,7 +254,7 @@ func randomAsyncScript(t *testing.T, r *rng.Source) (*topology.Network, [][]radi
 		}
 	}
 	slotsPerFrame := r.IntN(3) + 1
-	frames := r.IntN(16) + 4
+	frames := scale * (r.IntN(16) + 4)
 	frameLen := 1 + r.Float64()*4
 	script := make([][]radio.Action, n)
 	starts := make([]float64, n)
@@ -227,15 +286,18 @@ func randomAsyncScript(t *testing.T, r *rng.Source) (*topology.Network, [][]radi
 
 // TestResolveFrameMatchesNaive pins the sweep-based resolveFrame to the
 // quadratic resolveFrameNaive over random scenarios, with and without a
-// loss model. The two envs carry identically seeded erasure RNGs; the draws
-// happen during collection, which both resolvers share, so any divergence —
-// deliveries or draw consumption — surfaces as a mismatch.
+// loss model. The two envs carry identically seeded erasure RNGs and
+// resolve frames in the same order, so any divergence — deliveries, frame
+// lookup or draw consumption — surfaces as a mismatch. The fast env first
+// resolves a larger network on the same scratch, so its cursor hints start
+// stale and often past the end; half the scenarios resolve in shuffled
+// order, so the cursor gallops backwards as well as forwards.
 func TestResolveFrameMatchesNaive(t *testing.T) {
 	root := rng.New(80520260)
 	for trial := 0; trial < 120; trial++ {
 		r := root.Split()
 		t.Run(fmt.Sprintf("scenario%03d", trial), func(t *testing.T) {
-			nw, script, starts, frameLen, slotsPerFrame := randomAsyncScript(t, r)
+			nw, script, starts, frameLen, slotsPerFrame := randomAsyncScript(t, r, 1)
 
 			var fastLoss, naiveLoss *LossModel
 			if r.Bernoulli(0.6) {
@@ -249,23 +311,41 @@ func TestResolveFrameMatchesNaive(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			fast := scriptedAsyncEnv(t, nw, script, starts, frameLen, slotsPerFrame, fastLoss)
-			naive := scriptedAsyncEnv(t, nw, script, starts, frameLen, slotsPerFrame, naiveLoss)
 
-			for u := 0; u < nw.N(); u++ {
-				uid := topology.NodeID(u)
+			fastSc := NewAsyncScratch()
+			bigNw, bigScript, bigStarts, bigFrameLen, bigSlots := randomAsyncScript(t, r, 4)
+			big := scriptedAsyncEnv(t, fastSc, bigNw, bigScript, bigStarts, bigFrameLen, bigSlots, nil)
+			for u := range bigScript {
+				for _, g := range big.frames[u] {
+					big.resolveFrame(topology.NodeID(u), g)
+				}
+			}
+			fast := scriptedAsyncEnv(t, fastSc, nw, script, starts, frameLen, slotsPerFrame, fastLoss)
+			naive := scriptedAsyncEnv(t, NewAsyncScratch(), nw, script, starts, frameLen, slotsPerFrame, naiveLoss)
+
+			type frameRef struct{ u, f int }
+			var order []frameRef
+			for u := range script {
 				for f := range script[u] {
-					got := fast.resolveFrame(uid, fast.frames[u][f])
-					want := naive.resolveFrameNaive(uid, naive.frames[u][f])
-					if len(got) != len(want) {
-						t.Fatalf("node %d frame %d: fast %d deliveries, naive %d\nfast: %v\nnaive: %v",
-							u, f, len(got), len(want), got, want)
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("node %d frame %d delivery %d: fast %+v, naive %+v",
-								u, f, i, got[i], want[i])
-						}
+					order = append(order, frameRef{u, f})
+				}
+			}
+			if r.Bernoulli(0.5) {
+				r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			}
+			for _, ref := range order {
+				u, f := ref.u, ref.f
+				uid := topology.NodeID(u)
+				got := fast.resolveFrame(uid, fast.frames[u][f])
+				want := naive.resolveFrameNaive(uid, naive.frames[u][f])
+				if len(got) != len(want) {
+					t.Fatalf("node %d frame %d: fast %d deliveries, naive %d\nfast: %v\nnaive: %v",
+						u, f, len(got), len(want), got, want)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("node %d frame %d delivery %d: fast %+v, naive %+v",
+							u, f, i, got[i], want[i])
 					}
 				}
 			}
@@ -304,7 +384,7 @@ func TestResolveFrameSteadyStateNoAllocs(t *testing.T) {
 		}
 		starts[u] = r.Float64() * 2
 	}
-	env := scriptedAsyncEnv(t, nw, script, starts, 1.5, 3, nil)
+	env := scriptedAsyncEnv(t, NewAsyncScratch(), nw, script, starts, 1.5, 3, nil)
 
 	resolveAll := func() {
 		for u := 0; u < nw.N(); u++ {
@@ -371,4 +451,30 @@ func TestSyncDeliveryPathNoAllocs(t *testing.T) {
 	if allocs > 100 {
 		t.Errorf("RunSync delivery path allocated %.0f objects per run", allocs)
 	}
+}
+
+// FuzzFrameLowerBound checks the cursor search against sort.Search. Each
+// gap byte adds (b+1)/4 to the previous frame start, so starts are strictly
+// increasing and quarter-valued queries land on them exactly; the hint is
+// unrestricted, negative and past-the-end values included. NaN queries are
+// outside the contract (frame times are always finite) and are skipped.
+func FuzzFrameLowerBound(f *testing.F) {
+	f.Add([]byte{}, 0, 1.0)
+	f.Add([]byte{0, 1, 2, 3}, 2, 1.5)
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3}, -7, 100.0)
+	f.Fuzz(func(t *testing.T, gaps []byte, hint int, x float64) {
+		if math.IsNaN(x) {
+			return
+		}
+		fr := make([]asyncFrame, len(gaps))
+		start := 0.0
+		for i, b := range gaps {
+			start += (float64(b) + 1) / 4
+			fr[i] = asyncFrame{start: start, end: start + 1}
+		}
+		want := sort.Search(len(fr), func(i int) bool { return fr[i].start >= x })
+		if got := frameLowerBound(fr, hint, x); got != want {
+			t.Fatalf("frameLowerBound(%d starts, hint %d, %v) = %d, want %d", len(fr), hint, x, got, want)
+		}
+	})
 }

@@ -283,7 +283,6 @@ type AsyncScratch struct {
 	timelines  []*clock.Timeline
 	rateBufs   [][]float64
 	frames     [][]asyncFrame
-	starts     [][]float64
 	deliveries []delivery
 	env        asyncEnv
 
@@ -351,42 +350,34 @@ func (sc *AsyncScratch) timelineSlice(n int) []*clock.Timeline {
 	return sc.timelines[:n]
 }
 
-// frameTables returns the per-node frame and frame-start tables, each inner
-// slice re-sliced to length frames (fully overwritten by the pre-generating
-// engine) or 0 (appended to by the online engine) with capacity for
-// maxFrames entries.
-func (sc *AsyncScratch) frameTables(n, maxFrames, frames int) ([][]asyncFrame, [][]float64) {
+// frameTables returns the per-node frame tables, each re-sliced to length
+// frames (fully overwritten by the pre-generating engine) or 0 (appended to
+// by the online engine) with capacity for maxFrames entries.
+func (sc *AsyncScratch) frameTables(n, maxFrames, frames int) [][]asyncFrame {
 	if cap(sc.frames) < n {
 		fr := make([][]asyncFrame, n)
 		copy(fr, sc.frames)
 		sc.frames = fr
-		st := make([][]float64, n)
-		copy(st, sc.starts)
-		sc.starts = st
 	}
 	sc.frames = sc.frames[:n]
-	sc.starts = sc.starts[:n]
 	for u := 0; u < n; u++ {
 		if cap(sc.frames[u]) < maxFrames {
 			sc.frames[u] = make([]asyncFrame, maxFrames)
-			sc.starts[u] = make([]float64, maxFrames)
 		}
 		sc.frames[u] = sc.frames[u][:frames]
-		sc.starts[u] = sc.starts[u][:frames]
 	}
-	return sc.frames, sc.starts
+	return sc.frames
 }
 
 // envFor primes the embedded resolver env for a run. The env's internal
-// buffers (txBuf, sweepBuf, flagBuf, outBuf, seenBuf) persist across runs by
-// design: resolveFrame already reuses them frame-to-frame and overwrites
-// before reading.
-func (sc *AsyncScratch) envFor(nw *topology.Network, cands [][]topology.Candidate, frames [][]asyncFrame, starts [][]float64, timelines []*clock.Timeline, slotsPerFrame int, loss *LossModel) *asyncEnv {
+// buffers (txBuf, sweepBuf, flagBuf, outBuf, seenBuf, cursor) persist across
+// runs by design: resolveFrame already reuses them frame-to-frame and
+// overwrites before reading, and a stale cursor hint is still exact.
+func (sc *AsyncScratch) envFor(nw *topology.Network, cands [][]topology.Candidate, frames [][]asyncFrame, timelines []*clock.Timeline, slotsPerFrame int, loss *LossModel) *asyncEnv {
 	env := &sc.env
 	env.nw = nw
 	env.cands = cands
 	env.frames = frames
-	env.starts = starts
 	env.timelines = timelines
 	env.slotsPerFrame = slotsPerFrame
 	env.loss = loss
