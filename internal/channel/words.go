@@ -4,9 +4,9 @@ import "math/bits"
 
 // Raw word-level bitset kernels.
 //
-// The simulation engines' channel-major slot resolver works directly on
-// []uint64 bitset words — candidate masks packed by the topology layer and
-// per-slot transmitter masks built by the engine — instead of Set values,
+// The synchronous engine's slot resolver works directly on []uint64 bitset
+// words — candidate masks packed by the topology layer and per-slot
+// transmitter masks built by the engine — instead of Set values,
 // so the inner loop is a handful of word operations per listener. Bit i of
 // word w represents element 64*w + i (the same layout Set uses).
 //

@@ -71,9 +71,9 @@ type AsyncConfig struct {
 	Scratch *AsyncScratch
 	// Stepper optionally overrides where frame decisions come from. Nil —
 	// the default — pulls each decision lazily from Nodes' protocols; a
-	// PregenStepper replays a pre-generated schedule instead (differential
-	// reference, sound for oblivious protocols only). Nodes remain required
-	// either way: they carry clocks and are the Deliver targets.
+	// custom stepper (the tests' pre-generated replay, for one) serves them
+	// instead, which is sound for oblivious protocols only. Nodes remain
+	// required either way: they carry clocks and are the Deliver targets.
 	Stepper Stepper
 	// Dynamics, if non-nil, runs the simulation on a time-varying world:
 	// each listening frame resolves against the reception structure of the
@@ -163,7 +163,7 @@ func (c *AsyncConfig) validate() error {
 // afterwards, so protocols see messages only after all decisions are made —
 // behaviorally equivalent for oblivious protocols, which is why the
 // differential tests can pin this engine to RunAsyncOnline and to
-// PregenStepper replays. Adaptive protocols need RunAsyncOnline.
+// pre-generated replays. Adaptive protocols need RunAsyncOnline.
 //
 //nd:hotpath
 func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {

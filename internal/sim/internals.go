@@ -1,7 +1,7 @@
 package sim
 
 // This file is the engine-internals reporting seam: a once-per-run summary
-// of what the engine machinery itself did — which resolver path ran, how
+// of what the engine machinery itself did — which run mode resolved, how
 // the stepper batches filled, whether the scratch's network tables were
 // reused — as opposed to what happened in the simulated network (the Event
 // stream). The two ride the same Observer attachment point so composition,
@@ -17,10 +17,10 @@ package sim
 //   - Zero allocation when used: Internals is a plain value passed by
 //     value; per-slot tallying is integer arithmetic on run-local fields.
 //   - Zero perturbation: a sink whose EventMask is zero keeps the batched
-//     resolver path and the engine's event-free fast paths — reading the
-//     internals never changes which internals there are to read. (A full
-//     observer still flips batched → kernel, exactly as it did before this
-//     seam existed; the report then says so.)
+//     mode and the engine's event-free fast paths — reading the internals
+//     never changes which internals there are to read. (A full observer
+//     still flips batched → kernel, exactly as it did before this seam
+//     existed; the report then says so.)
 
 // Internals is one synchronous run's engine-internals summary. All fields
 // are totals over the run, sized for lossless merging across trials.
@@ -28,25 +28,35 @@ type Internals struct {
 	// SlotsSimulated mirrors SyncResult.SlotsSimulated.
 	SlotsSimulated int64
 	// TiledSlots, BatchedSlots, KernelSlots and ScalarSlots attribute the
-	// run's slots to the resolver path that executed them. Path selection
-	// is fixed for a whole run, so exactly one of the four equals
+	// run's slots to its run mode. Every mode runs the one slot pipeline
+	// (sync_tiled.go); they differ in tiling and in what phase B owes:
+	//
+	//   - tiled: the caller's grid (SyncConfig.Tiling), in parallel;
+	//   - batched: the implicit single tile, event-free and loss-free;
+	//   - kernel: the implicit single tile, ordered — per-listener events
+	//     or a loss model make its listener order the event and
+	//     erasure-draw order;
+	//   - scalar: the candidate scan, for dynamics worlds and networks
+	//     without a single-tile mask table.
+	//
+	// The mode is fixed for a whole run, so exactly one of the four equals
 	// SlotsSimulated and the other three are zero — their sum always
 	// equals SlotsSimulated.
 	TiledSlots   int64
 	BatchedSlots int64
 	KernelSlots  int64
 	ScalarSlots  int64
-	// HaloExchanges counts tiled-path halo segment copies from a NEIGHBOR
+	// HaloExchanges counts tiled-mode halo segment copies from a NEIGHBOR
 	// tile (a tile reading its own transmitter mask does not count);
-	// HaloWordsCopied sums their word widths. Both are zero off the tiled
-	// path. Tiled runs attribute stepper batches per (slot, tile with
+	// HaloWordsCopied sums their word widths. Both are zero in the other
+	// modes. Tiled runs attribute stepper batches per (slot, tile with
 	// active nodes) rather than per slot.
 	HaloExchanges   int64
 	HaloWordsCopied int64
-	// MaskBudgetOverruns is 1 when a static run's packed candidate-mask
-	// table exceeded its word budget, forcing the scalar path on a network
-	// the kernels could otherwise have served; 0 otherwise (dynamic runs
-	// take the scalar path by design and do not count).
+	// MaskBudgetOverruns is 1 when a static run's single-tile packed mask
+	// table exceeded its word budget, which puts the run in scalar mode
+	// unless a caller grid serves it; 0 otherwise (dynamic runs take the
+	// scalar mode by design and do not count).
 	MaskBudgetOverruns int64
 	// StepperBatches counts decision-pull batches (one per slot);
 	// StepperBatchNodes sums their sizes (decisions pulled), so the mean
@@ -112,7 +122,7 @@ func (m maskedObserver) OnInternals(in Internals) {
 }
 
 // InternalsRecorder captures engine-internals reports while subscribing to
-// no events at all, so attaching one preserves the engine's batched path
+// no events at all, so attaching one preserves the engine's batched mode
 // and event-free fast paths — the production shape for counters that must
 // not perturb what they measure, and the reference observer for the
 // perturbation guards in the tests.

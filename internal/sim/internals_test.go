@@ -10,6 +10,7 @@ package sim
 import (
 	"testing"
 
+	"m2hew/internal/channel"
 	"m2hew/internal/dynamics"
 	"m2hew/internal/radio"
 	"m2hew/internal/rng"
@@ -36,10 +37,16 @@ func internalsRun(t *testing.T, nw *topology.Network, obs Observer, cfg SyncConf
 
 // TestInternalsPathAttributionSumsToSlots is the differential test for the
 // resolver-path counters: on every configuration that selects a different
-// path, exactly one path counter carries the run's whole slot count and
-// the three always sum to SlotsSimulated.
+// run mode, exactly one path counter carries the run's whole slot count and
+// the four always sum to SlotsSimulated. Each case also pins the full
+// report — stepper, halo, budget and scratch tallies included — to the
+// values the engine produced before its modes shared one pipeline, so a
+// refactor that moves a run to another mode, or changes how a mode tallies
+// (an empty batch on a staged slot, an edgeless network's empty mask
+// table, a caller grid's fallbacks), fails here.
 func TestInternalsPathAttributionSumsToSlots(t *testing.T) {
 	nw := diffNet(t, 9, 12)
+	grid := mustTiling(t, nw, 2, 2)
 	world := func() *dynamics.World {
 		w, err := dynamics.NewWorld(nw, dynamics.Spec{
 			EpochLen: 100,
@@ -57,20 +64,47 @@ func TestInternalsPathAttributionSumsToSlots(t *testing.T) {
 		}
 		return m
 	}
+	// Staged starts: every node starts at slot 1 or later, so slot 0 pulls
+	// an empty batch.
+	starts := make([]int, nw.N())
+	for u := range starts {
+		starts[u] = 1 + u%5*7
+	}
+	// Edgeless: pairwise-disjoint channel sets leave every link without a
+	// common channel, so the candidate table is empty.
+	edgeless := diffNet(t, 9, 12)
+	for u := 0; u < edgeless.N(); u++ {
+		edgeless.SetAvail(topology.NodeID(u), channel.NewSet(channel.ID(u)))
+	}
+	nonConcurrent := func(cfg *SyncConfig) {
+		cfg.Stepper = nonConcurrentStepper{st: syncStepper{protos: cfg.Protocols}}
+	}
 	cases := []struct {
 		label string
+		nw    *topology.Network
 		cfg   SyncConfig
-		full  bool // wrap the recorder with a full observer (flips to kernel)
-		want  func(in Internals) int64
+		full  bool              // wrap the recorder with a full observer (kernel)
+		edit  func(*SyncConfig) // applied after the protocols are built
+		want  Internals
 	}{
-		// A mask-0 recorder alone keeps the batched channel-major path.
-		{"batched", SyncConfig{}, false, func(in Internals) int64 { return in.BatchedSlots }},
-		// A full observer demands per-listener events: kernel path.
-		{"kernel-full-observer", SyncConfig{}, true, func(in Internals) int64 { return in.KernelSlots }},
+		// A mask-0 recorder alone keeps the batched (event-free) mode.
+		{label: "batched", want: Internals{SlotsSimulated: 600, BatchedSlots: 600, StepperBatches: 600, StepperBatchNodes: 7200, MaxStepperBatch: 12, BatchSteps: 600, ScratchTableMisses: 1}},
+		// A full observer demands per-listener events: kernel mode.
+		{label: "kernel-full-observer", full: true, want: Internals{SlotsSimulated: 600, KernelSlots: 600, StepperBatches: 600, StepperBatchNodes: 7200, MaxStepperBatch: 12, BatchSteps: 600, ScratchTableMisses: 1}},
 		// Loss forces per-listener erasure draws: kernel even when masked off.
-		{"kernel-lossy", SyncConfig{Loss: loss()}, false, func(in Internals) int64 { return in.KernelSlots }},
-		// Dynamics runs resolve on the scalar path by design.
-		{"scalar-dynamics", SyncConfig{Dynamics: world()}, false, func(in Internals) int64 { return in.ScalarSlots }},
+		{label: "kernel-lossy", cfg: SyncConfig{Loss: loss()}, want: Internals{SlotsSimulated: 600, KernelSlots: 600, StepperBatches: 600, StepperBatchNodes: 7200, MaxStepperBatch: 12, BatchSteps: 600, ScratchTableMisses: 1}},
+		// Dynamics runs resolve on the scalar mode by design.
+		{label: "scalar-dynamics", cfg: SyncConfig{Dynamics: world()}, want: Internals{SlotsSimulated: 600, ScalarSlots: 600, StepperBatches: 600, StepperBatchNodes: 4400, MaxStepperBatch: 8, BatchSteps: 600, ScratchTableMisses: 1}},
+		{label: "batched-staged", cfg: SyncConfig{StartSlots: starts}, want: Internals{SlotsSimulated: 600, BatchedSlots: 600, StepperBatches: 600, StepperBatchNodes: 7041, MaxStepperBatch: 12, BatchSteps: 600, ScratchTableMisses: 1}},
+		{label: "kernel-staged-full-observer", cfg: SyncConfig{StartSlots: starts}, full: true, want: Internals{SlotsSimulated: 600, KernelSlots: 600, StepperBatches: 600, StepperBatchNodes: 7041, MaxStepperBatch: 12, BatchSteps: 600, ScratchTableMisses: 1}},
+		{label: "batched-edgeless", nw: edgeless, want: Internals{SlotsSimulated: 600, BatchedSlots: 600, StepperBatches: 600, StepperBatchNodes: 7200, MaxStepperBatch: 12, BatchSteps: 600, ScratchTableMisses: 1}},
+		{label: "batched-edgeless-grid", nw: edgeless, cfg: SyncConfig{Tiling: mustTiling(t, edgeless, 2, 2)}, want: Internals{SlotsSimulated: 600, BatchedSlots: 600, StepperBatches: 600, StepperBatchNodes: 7200, MaxStepperBatch: 12, BatchSteps: 600, ScratchTableMisses: 1}},
+		{label: "tiled", cfg: SyncConfig{Tiling: grid}, want: Internals{SlotsSimulated: 600, TiledSlots: 600, HaloExchanges: 2250, HaloWordsCopied: 2250, StepperBatches: 2400, StepperBatchNodes: 7200, MaxStepperBatch: 4, BatchSteps: 2400, ScratchTableMisses: 1}},
+		{label: "tiled-staged", cfg: SyncConfig{Tiling: grid, StartSlots: starts}, want: Internals{SlotsSimulated: 600, TiledSlots: 600, HaloExchanges: 2214, HaloWordsCopied: 2214, StepperBatches: 2389, StepperBatchNodes: 7041, MaxStepperBatch: 4, BatchSteps: 2389, ScratchTableMisses: 1}},
+		{label: "tiled-1x1", cfg: SyncConfig{Tiling: mustTiling(t, nw, 1, 1)}, want: Internals{SlotsSimulated: 600, TiledSlots: 600, StepperBatches: 600, StepperBatchNodes: 7200, MaxStepperBatch: 12, BatchSteps: 600, ScratchTableMisses: 1}},
+		{label: "kernel-lossy-grid", cfg: SyncConfig{Tiling: grid, Loss: loss()}, want: Internals{SlotsSimulated: 600, KernelSlots: 600, StepperBatches: 600, StepperBatchNodes: 7200, MaxStepperBatch: 12, BatchSteps: 600, ScratchTableMisses: 1}},
+		{label: "kernel-full-observer-grid", cfg: SyncConfig{Tiling: grid}, full: true, want: Internals{SlotsSimulated: 600, KernelSlots: 600, StepperBatches: 600, StepperBatchNodes: 7200, MaxStepperBatch: 12, BatchSteps: 600, ScratchTableMisses: 1}},
+		{label: "batched-nonconcurrent-grid", cfg: SyncConfig{Tiling: grid}, edit: nonConcurrent, want: Internals{SlotsSimulated: 600, BatchedSlots: 600, StepperBatches: 600, StepperBatchNodes: 7200, MaxStepperBatch: 12, ScratchTableMisses: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {
@@ -79,7 +113,23 @@ func TestInternalsPathAttributionSumsToSlots(t *testing.T) {
 			if tc.full {
 				obs = MultiObserver(rec, ObserverFunc(func(Event) {}))
 			}
-			res := internalsRun(t, nw, obs, tc.cfg)
+			net := tc.nw
+			if net == nil {
+				net = nw
+			}
+			cfg := tc.cfg
+			cfg.Network = net
+			cfg.Protocols = syncProtos(t, net, 55)
+			cfg.MaxSlots = 600
+			cfg.RunToMaxSlots = true
+			cfg.Observer = obs
+			if tc.edit != nil {
+				tc.edit(&cfg)
+			}
+			res, err := RunSync(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if rec.Reports != 1 {
 				t.Fatalf("reports = %d, want exactly 1 per run", rec.Reports)
 			}
@@ -87,12 +137,12 @@ func TestInternalsPathAttributionSumsToSlots(t *testing.T) {
 			if in.SlotsSimulated != int64(res.SlotsSimulated) {
 				t.Errorf("SlotsSimulated = %d, result says %d", in.SlotsSimulated, res.SlotsSimulated)
 			}
-			if sum := in.BatchedSlots + in.KernelSlots + in.ScalarSlots; sum != in.SlotsSimulated {
-				t.Errorf("path attribution sum = %d, want %d (batched %d, kernel %d, scalar %d)",
-					sum, in.SlotsSimulated, in.BatchedSlots, in.KernelSlots, in.ScalarSlots)
+			if sum := in.TiledSlots + in.BatchedSlots + in.KernelSlots + in.ScalarSlots; sum != in.SlotsSimulated {
+				t.Errorf("path attribution sum = %d, want %d (tiled %d, batched %d, kernel %d, scalar %d)",
+					sum, in.SlotsSimulated, in.TiledSlots, in.BatchedSlots, in.KernelSlots, in.ScalarSlots)
 			}
-			if got := tc.want(in); got != in.SlotsSimulated {
-				t.Errorf("expected path carries %d of %d slots: %+v", got, in.SlotsSimulated, in)
+			if in != tc.want {
+				t.Errorf("internals = %#v\nwant        %#v", in, tc.want)
 			}
 		})
 	}
@@ -155,7 +205,7 @@ func TestInternalsMaskBudgetOverrun(t *testing.T) {
 	if over.MaskBudgetOverruns != 1 || over.ScalarSlots != 100 {
 		t.Errorf("over-budget run: %+v, want 1 overrun, 100 scalar slots", over)
 	}
-	batched := (&syncRun{batched: true, useKernel: true}).finalizeInternals(100, false, true)
+	batched := (&syncRun{mode: modeBatched}).finalizeInternals(100, false, true)
 	if batched.MaskBudgetOverruns != 0 || batched.BatchedSlots != 100 || batched.ScratchTableHits != 1 {
 		t.Errorf("batched run: %+v, want no overrun, 100 batched slots, table hit", batched)
 	}

@@ -14,50 +14,44 @@ import (
 //
 // Reuse is invisible in results: every buffer is either fully overwritten
 // before it is read (actions, candidate tables) or re-zeroed on acquisition
-// (the per-channel transmitter index), and no scratch state feeds an rng
-// draw. The derived network tables (inbound candidates, shared message
-// availability sets) are cached keyed by network pointer; a caller that
-// mutates a network in place between runs must call Reset (or use a fresh
-// scratch) so the tables are rebuilt.
+// (the per-tile transmitter masks and counts), and no scratch state feeds an
+// rng draw. The derived network tables (inbound candidates, shared message
+// availability sets, the single tile and its masks) are cached keyed by
+// network pointer; a caller that mutates a network in place between runs
+// must call Reset (or use a fresh scratch) so the tables are rebuilt.
 type SyncScratch struct {
 	nwKey    *topology.Network
 	cands    [][]topology.Candidate
 	msgAvail []channel.Set
-	masks    *topology.CandidateMasks
 	links    []topology.Link
+	channels int // max channel ID + 1 over the network's universe
 
-	// Tiled-resolver state (see sync_tiled.go), cached keyed by (network,
-	// tiling) pair: the halo-local candidate masks and the per-tile scratch.
-	tileNW    *topology.Network
-	tileTL    *topology.Tiling
-	tileMasks *topology.TileMasks
-	tiles     []tileState
+	// single is the implicit single tile over the whole network, the
+	// resolver of every run without a usable caller grid; its tile state
+	// is built on first use.
+	single tileSet
+	// grid is the caller tiling's state, cached keyed by (network,
+	// tiling) pair.
+	gridNW *topology.Network
+	grid   tileSet
 
-	actions   []radio.Action
-	txOn      []int
-	txTouched []channel.ID
-	locals    []int
-
-	// Batched-resolver state (see sync_resolve.go): per-slot transmitter
-	// word masks (channel-major, wordsPer words per channel), per-channel
-	// listener buckets, the lossy path's overlap buffer, and the per-run
-	// pull/dispatch buffers.
-	txWords   []uint64
-	avail1    []uint64
-	rx        [][]topology.NodeID
-	rxTouched []channel.ID
-	rxList    []topology.NodeID
-	rxChs     []channel.ID
-	ovl       []uint64
-	hrs       []HeardReporter
-	us        []topology.NodeID
-	ks        []int
-	dec       []radio.Action
+	actions []radio.Action
+	avail1  []uint64
+	hrs     []HeardReporter
+	locals  []int
 }
 
-// syncMaskWordBudget caps the packed candidate-mask table at 8 MB; larger
-// networks stay on the scalar resolver (the sharded engine's tiled layout
-// is the planned path to large n, not a giant flat table).
+// tileSet is one tiling's resolver state: the tiling, its halo-local
+// candidate masks, and the per-tile scratch (see sync_tiled.go).
+type tileSet struct {
+	tl    *topology.Tiling
+	masks *topology.TileMasks
+	tiles []tileState
+}
+
+// syncMaskWordBudget caps the single tile's packed candidate-mask table at
+// 8 MB; larger networks without a caller grid stay on the scalar resolver
+// (a caller grid is the path to large n, not a giant single-tile table).
 const syncMaskWordBudget = 1 << 20
 
 // NewSyncScratch returns an empty scratch ready for use.
@@ -70,38 +64,51 @@ func (sc *SyncScratch) Reset() {
 	sc.nwKey = nil
 	sc.cands = nil
 	sc.msgAvail = nil
-	sc.masks = nil
 	sc.links = nil
-	sc.tileNW = nil
-	sc.tileTL = nil
-	sc.tileMasks = nil
-	sc.tiles = nil
+	sc.channels = 0
+	sc.single = tileSet{}
+	sc.gridNW = nil
+	sc.grid = tileSet{}
 }
 
 // networkTables returns the network-derived tables — the inbound-candidate
-// table, the shared message availability sets, the channel-major candidate
-// masks (nil when over the word budget; the run falls back to the scalar
-// resolver) and the discoverable-link target — rebuilding them only when
-// the network changed since the last run. hit reports whether the cached
-// tables were reused (the engine-internals scratch hit/miss counter).
-func (sc *SyncScratch) networkTables(nw *topology.Network) (_ [][]topology.Candidate, _ []channel.Set, _ *topology.CandidateMasks, _ []topology.Link, hit bool) {
+// table, the shared message availability sets and the discoverable-link
+// target — rebuilding them, the channel count and the single tile's tiling
+// and masks (nil over the word budget or without channels; the run falls
+// back to the scalar resolver) only when the network changed since the
+// last run. hit reports whether the cached tables were reused (the
+// engine-internals scratch hit/miss counter).
+func (sc *SyncScratch) networkTables(nw *topology.Network) (_ [][]topology.Candidate, _ []channel.Set, _ []topology.Link, hit bool) {
 	hit = sc.nwKey == nw
 	if !hit {
 		sc.nwKey = nw
 		sc.cands = nw.InboundCandidates()
 		sc.msgAvail = sharedMsgAvail(nw)
-		channels := 0
+		sc.channels = 0
 		if id, ok := nw.Universe().Max(); ok {
-			channels = int(id) + 1
+			sc.channels = int(id) + 1
 		}
-		sc.masks = topology.NewCandidateMasks(sc.cands, channels, syncMaskWordBudget)
+		sc.single = tileSet{}
+		sc.single.tl, _ = topology.NewTiling(nw, 1, 1) // never fails on a 1×1 grid
+		sc.single.masks = topology.NewTileMasks(sc.single.tl, sc.cands, sc.channels, syncMaskWordBudget)
 		sc.links = nw.DiscoverableLinks()
 	}
-	return sc.cands, sc.msgAvail, sc.masks, sc.links, hit
+	return sc.cands, sc.msgAvail, sc.links, hit
 }
 
-// syncTileMaskWordBudget returns the tiled resolver's packed-mask budget:
-// the flat-table budget, scaled linearly past it — a listener's halo-local
+// singleTile returns the implicit single tile of the network last passed
+// to networkTables, its tile state built on first use and re-zeroed for
+// the run.
+func (sc *SyncScratch) singleTile() tileSet {
+	if sc.single.tiles == nil {
+		sc.single.tiles = buildTileStates(sc.single.tl, sc.channels)
+	}
+	resetTileStates(sc.single.tiles)
+	return sc.single
+}
+
+// syncTileMaskWordBudget returns a caller grid's packed-mask budget: the
+// single-tile budget, scaled linearly past it — a listener's halo-local
 // row spans at most its 3×3 halo (a constant for radius-matched tilings),
 // so the packed table is O(n) by construction and a linear budget admits
 // every well-tiled network while still refusing a pathological blowup.
@@ -112,29 +119,27 @@ func syncTileMaskWordBudget(n int) int {
 	return syncMaskWordBudget
 }
 
-// tileState returns the tiled resolver's halo-local candidate masks and
-// per-tile scratch for the (network, tiling) pair, rebuilding on a key
-// change and re-zeroing the per-run state either way. A nil mask table
-// (halo violation — the tiling is finer than the network's reach — or
-// budget overrun, or no channels) disables the tiled path for the run; the
-// caller falls back to the single-threaded resolvers.
-func (sc *SyncScratch) tileState(nw *topology.Network, tl *topology.Tiling, cands [][]topology.Candidate, channels int) (*topology.TileMasks, []tileState) {
-	if sc.tileNW != nw || sc.tileTL != tl {
-		sc.tileNW, sc.tileTL = nw, tl
-		sc.tileMasks = nil
-		sc.tiles = nil
-		if channels > 0 {
-			sc.tileMasks = topology.NewTileMasks(tl, cands, channels, syncTileMaskWordBudget(tl.N()))
-		}
-		if sc.tileMasks != nil {
-			sc.tiles = buildTileStates(tl, channels)
+// gridTiles returns the caller grid's masks and per-tile scratch for the
+// (network, tiling) pair, rebuilding on a key change and re-zeroing the
+// per-run state either way. A zero tileSet (nil masks: halo violation —
+// the tiling is finer than the network's reach — budget overrun, no
+// channels, or no candidates at all) disables the grid for the run; the
+// caller falls back to the single tile.
+func (sc *SyncScratch) gridTiles(nw *topology.Network, tl *topology.Tiling, cands [][]topology.Candidate) tileSet {
+	if sc.gridNW != nw || sc.grid.tl != tl {
+		sc.gridNW = nw
+		sc.grid = tileSet{tl: tl}
+		m := topology.NewTileMasks(tl, cands, sc.channels, syncTileMaskWordBudget(tl.N()))
+		if m != nil && m.PackedWords() > 0 {
+			sc.grid.masks = m
+			sc.grid.tiles = buildTileStates(tl, sc.channels)
 		}
 	}
-	if sc.tileMasks == nil {
-		return nil, nil
+	if sc.grid.masks == nil {
+		return tileSet{}
 	}
-	resetTileStates(sc.tiles)
-	return sc.tileMasks, sc.tiles
+	resetTileStates(sc.grid.tiles)
+	return sc.grid
 }
 
 // actionBuf returns the per-node action buffer, grown to n. Entries are
@@ -146,24 +151,6 @@ func (sc *SyncScratch) actionBuf(n int) []radio.Action {
 	return sc.actions[:n]
 }
 
-// txIndex returns the per-channel transmitter-count index sized for channel
-// IDs up to maxID, zeroed: an errored previous run may have returned
-// mid-slot with live counts still in place.
-func (sc *SyncScratch) txIndex(maxID channel.ID) ([]int, []channel.ID) {
-	need := int(maxID) + 1
-	if cap(sc.txOn) < need {
-		sc.txOn = make([]int, need)
-	}
-	txOn := sc.txOn[:need]
-	for i := range txOn {
-		txOn[i] = 0
-	}
-	if sc.txTouched == nil {
-		sc.txTouched = make([]channel.ID, 0, 16)
-	}
-	return txOn, sc.txTouched[:0]
-}
-
 // availBuf returns the per-node single-word availability mask buffer,
 // reusing scratch capacity; the caller refills the contents every run.
 func (sc *SyncScratch) availBuf(n int) []uint64 {
@@ -173,71 +160,13 @@ func (sc *SyncScratch) availBuf(n int) []uint64 {
 	return sc.avail1[:n]
 }
 
-// txWordsBuf returns the per-slot channel-major transmitter masks (channels
-// × wordsPer words), zeroed: an errored previous run may have returned
-// mid-slot with live bits still set.
-func (sc *SyncScratch) txWordsBuf(words int) []uint64 {
-	if cap(sc.txWords) < words {
-		sc.txWords = make([]uint64, words)
-	}
-	txw := sc.txWords[:words]
-	for i := range txw {
-		txw[i] = 0
-	}
-	return txw
-}
-
-// rxListBufs returns the kernel path's flat per-slot listener list and its
-// parallel channel list, re-sliced empty, each with capacity for every
-// node so per-slot appends never grow them.
-func (sc *SyncScratch) rxListBufs(n int) ([]topology.NodeID, []channel.ID) {
-	if cap(sc.rxList) < n {
-		sc.rxList = make([]topology.NodeID, 0, n)
-		sc.rxChs = make([]channel.ID, 0, n)
-	}
-	return sc.rxList[:0], sc.rxChs[:0]
-}
-
-// rxBuckets returns the per-channel listener buckets and their touched
-// list, each bucket re-sliced empty: an errored previous run may have
-// returned mid-slot with listeners still queued.
-func (sc *SyncScratch) rxBuckets(channels int) ([][]topology.NodeID, []channel.ID) {
-	if cap(sc.rx) < channels {
-		rx := make([][]topology.NodeID, channels)
-		copy(rx, sc.rx)
-		sc.rx = rx
-	}
-	sc.rx = sc.rx[:channels]
-	for i := range sc.rx {
-		sc.rx[i] = sc.rx[i][:0]
-	}
-	if sc.rxTouched == nil {
-		sc.rxTouched = make([]channel.ID, 0, 16)
-	}
-	return sc.rx, sc.rxTouched[:0]
-}
-
-// ovlBuf returns the lossy resolver's overlap buffer with capacity for
-// wordsPer words (no row is wider than the full NodeID range, so
-// OverlapInto never regrows it mid-run).
-func (sc *SyncScratch) ovlBuf(wordsPer int) []uint64 {
-	if cap(sc.ovl) < wordsPer {
-		sc.ovl = make([]uint64, wordsPer)
-	}
-	return sc.ovl[:0]
-}
-
-// runBufs returns the per-run dispatch buffers: the heard-reporter cache
-// (fully overwritten by the run's setup) and the batched decision-pull
-// triple (written before read every slot).
-func (sc *SyncScratch) runBufs(n int) ([]HeardReporter, []topology.NodeID, []int, []radio.Action) {
+// heardBuf returns the per-run heard-reporter cache, fully overwritten by
+// the run's setup.
+func (sc *SyncScratch) heardBuf(n int) []HeardReporter {
 	if cap(sc.hrs) < n {
 		sc.hrs = make([]HeardReporter, n)
-		sc.us = make([]topology.NodeID, n)
-		sc.ks = make([]int, n)
-		sc.dec = make([]radio.Action, n)
 	}
-	return sc.hrs[:n], sc.us[:n], sc.ks[:n], sc.dec[:n]
+	return sc.hrs[:n]
 }
 
 // localSlotBuf returns the per-node local-slot counters of a dynamic run,

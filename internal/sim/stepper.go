@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"m2hew/internal/radio"
 	"m2hew/internal/topology"
 )
@@ -22,8 +20,8 @@ import (
 // of Next calls is invisible in results: a node's decision sequence is a
 // function of its private stream alone, so lazy pulling, eager
 // pre-generation, and any engine-chosen interleaving produce byte-identical
-// runs for the paper's protocols. PregenStepper materializes that claim as
-// a differential reference implementation.
+// runs for the paper's protocols. The tests' PregenStepper materializes
+// that claim as a differential reference implementation.
 //
 // Laziness is what makes time-varying runs possible at all: a dynamics-
 // driven engine does not know in advance how many decisions a node will
@@ -55,11 +53,11 @@ type BatchStepper interface {
 // nodes may be issued concurrently: Next(u, …) and Next(v, …) with u ≠ v
 // from different goroutines, with per-node calls still strictly ordered
 // (the tiled engine partitions nodes by tile, so one tile's pulls never
-// interleave with another's for the same node). Both built-in steppers
-// qualify — the package premise is that every protocol draws only from its
-// own per-node rng stream — but a custom stepper funneling nodes through
-// shared state must not declare the marker, and without it the engine
-// stays on the single-threaded paths.
+// interleave with another's for the same node). The default stepper
+// qualifies — the package premise is that every protocol draws only from
+// its own per-node rng stream — but a custom stepper funneling nodes
+// through shared state must not declare the marker, and without it the
+// engine resolves on its single tile, on the caller's goroutine.
 type ConcurrentStepper interface {
 	Stepper
 	// ConcurrentByNode is a marker; implementations do nothing.
@@ -97,97 +95,4 @@ type asyncStepper struct{ nodes []AsyncNode }
 
 func (s asyncStepper) Next(u topology.NodeID, k int) radio.Action {
 	return s.nodes[u].Protocol.NextFrame(k)
-}
-
-// PregenStepper is the pre-generating reference implementation of the
-// stepper seam: it pulls every node's full decision schedule up front (node-
-// major: all of node 0's decisions, then node 1's, …) and replays it on
-// demand. This is exactly the decision-generation order the engines used
-// before they became incremental, retained so differential tests can pin
-// the lazy path to it.
-//
-// Pre-generation is sound only for oblivious protocols — those whose
-// decisions are a function of their private randomness alone, never of
-// received messages — because every decision is drawn before any Deliver
-// call. The paper's algorithms are oblivious; adaptive wrappers (e.g.
-// termination detection) are not and must use the default incremental
-// stepper. Decisions are not validated at construction; the engine
-// validates each decision it pulls, exactly as with the incremental
-// stepper, so a protocol misbehaving beyond the slots a run actually
-// executes fails under PregenStepper runs that reach those slots and
-// nowhere else.
-type PregenStepper struct {
-	decisions [][]radio.Action
-}
-
-// Next implements Stepper by replaying the pre-generated schedule. It
-// panics if k is outside the pre-generated horizon — the differential
-// harness always sizes the horizon to the run's budget.
-func (p *PregenStepper) Next(u topology.NodeID, k int) radio.Action {
-	return p.decisions[u][k]
-}
-
-// NextBatch replays one slot's worth of the pre-generated schedule,
-// keeping the differential reference valid for the engine's batched pull
-// path too.
-//
-//nd:hotpath
-func (p *PregenStepper) NextBatch(us []topology.NodeID, ks []int, dst []radio.Action) {
-	for i, u := range us {
-		dst[i] = p.decisions[u][ks[i]]
-	}
-}
-
-// ConcurrentByNode marks the pregen stepper safe for per-node-disjoint
-// concurrent pulls: replay reads disjoint rows of an immutable schedule.
-func (p *PregenStepper) ConcurrentByNode() {}
-
-// Horizon returns the number of decisions pre-generated per node.
-func (p *PregenStepper) Horizon() int {
-	if len(p.decisions) == 0 {
-		return 0
-	}
-	return len(p.decisions[0])
-}
-
-// NewSyncPregen pre-generates horizon decisions from every synchronous
-// protocol, in the node-major order the pre-incremental engine used.
-func NewSyncPregen(protos []SyncProtocol, horizon int) (*PregenStepper, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("sim: pregen horizon %d must be positive", horizon)
-	}
-	decisions := make([][]radio.Action, len(protos))
-	for u, p := range protos {
-		if p == nil {
-			return nil, fmt.Errorf("sim: pregen protocol for node %d is nil", u)
-		}
-		row := make([]radio.Action, horizon)
-		for k := 0; k < horizon; k++ {
-			row[k] = p.Step(k)
-		}
-		decisions[u] = row
-	}
-	return &PregenStepper{decisions: decisions}, nil
-}
-
-// NewAsyncPregen pre-generates horizon frame decisions from every
-// asynchronous node's protocol, in the node-major order the
-// pre-incremental engine used.
-func NewAsyncPregen(nodes []AsyncNode, horizon int) (*PregenStepper, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("sim: pregen horizon %d must be positive", horizon)
-	}
-	decisions := make([][]radio.Action, len(nodes))
-	for u := range nodes {
-		p := nodes[u].Protocol
-		if p == nil {
-			return nil, fmt.Errorf("sim: pregen protocol for node %d is nil", u)
-		}
-		row := make([]radio.Action, horizon)
-		for k := 0; k < horizon; k++ {
-			row[k] = p.NextFrame(k)
-		}
-		decisions[u] = row
-	}
-	return &PregenStepper{decisions: decisions}, nil
 }

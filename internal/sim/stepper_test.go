@@ -9,15 +9,110 @@ package sim
 // node's private rng stream.
 
 import (
+	"fmt"
 	"testing"
 
 	"m2hew/internal/clock"
 	"m2hew/internal/core"
 	"m2hew/internal/dynamics"
 	"m2hew/internal/metrics"
+	"m2hew/internal/radio"
 	"m2hew/internal/rng"
 	"m2hew/internal/topology"
 )
+
+// PregenStepper is the pre-generating reference implementation of the
+// stepper seam: it pulls every node's full decision schedule up front (node-
+// major: all of node 0's decisions, then node 1's, …) and replays it on
+// demand. This is exactly the decision-generation order the engines used
+// before they became incremental, retained so differential tests can pin
+// the lazy path to it.
+//
+// Pre-generation is sound only for oblivious protocols — those whose
+// decisions are a function of their private randomness alone, never of
+// received messages — because every decision is drawn before any Deliver
+// call. The paper's algorithms are oblivious; adaptive wrappers (e.g.
+// termination detection) are not and must use the default incremental
+// stepper. Decisions are not validated at construction; the engine
+// validates each decision it pulls, exactly as with the incremental
+// stepper, so a protocol misbehaving beyond the slots a run actually
+// executes fails under PregenStepper runs that reach those slots and
+// nowhere else.
+type PregenStepper struct {
+	decisions [][]radio.Action
+}
+
+// Next implements Stepper by replaying the pre-generated schedule. It
+// panics if k is outside the pre-generated horizon — the differential
+// harness always sizes the horizon to the run's budget.
+func (p *PregenStepper) Next(u topology.NodeID, k int) radio.Action {
+	return p.decisions[u][k]
+}
+
+// NextBatch replays one slot's worth of the pre-generated schedule,
+// keeping the differential reference valid for the engine's batched pull
+// path too.
+//
+//nd:hotpath
+func (p *PregenStepper) NextBatch(us []topology.NodeID, ks []int, dst []radio.Action) {
+	for i, u := range us {
+		dst[i] = p.decisions[u][ks[i]]
+	}
+}
+
+// ConcurrentByNode marks the pregen stepper safe for per-node-disjoint
+// concurrent pulls: replay reads disjoint rows of an immutable schedule.
+func (p *PregenStepper) ConcurrentByNode() {}
+
+// Horizon returns the number of decisions pre-generated per node.
+func (p *PregenStepper) Horizon() int {
+	if len(p.decisions) == 0 {
+		return 0
+	}
+	return len(p.decisions[0])
+}
+
+// NewSyncPregen pre-generates horizon decisions from every synchronous
+// protocol, in the node-major order the pre-incremental engine used.
+func NewSyncPregen(protos []SyncProtocol, horizon int) (*PregenStepper, error) {
+	if horizon <= 0 {
+		return nil, fmt.Errorf("sim: pregen horizon %d must be positive", horizon)
+	}
+	decisions := make([][]radio.Action, len(protos))
+	for u, p := range protos {
+		if p == nil {
+			return nil, fmt.Errorf("sim: pregen protocol for node %d is nil", u)
+		}
+		row := make([]radio.Action, horizon)
+		for k := 0; k < horizon; k++ {
+			row[k] = p.Step(k)
+		}
+		decisions[u] = row
+	}
+	return &PregenStepper{decisions: decisions}, nil
+}
+
+// NewAsyncPregen pre-generates horizon frame decisions from every
+// asynchronous node's protocol, in the node-major order the
+// pre-incremental engine used.
+func NewAsyncPregen(nodes []AsyncNode, horizon int) (*PregenStepper, error) {
+	if horizon <= 0 {
+		return nil, fmt.Errorf("sim: pregen horizon %d must be positive", horizon)
+	}
+	decisions := make([][]radio.Action, len(nodes))
+	for u := range nodes {
+		p := nodes[u].Protocol
+		if p == nil {
+			return nil, fmt.Errorf("sim: pregen protocol for node %d is nil", u)
+		}
+		row := make([]radio.Action, horizon)
+		for k := 0; k < horizon; k++ {
+			row[k] = p.NextFrame(k)
+		}
+		decisions[u] = row
+	}
+	return &PregenStepper{decisions: decisions}, nil
+}
 
 // diffNet builds a seeded geometric multi-channel network.
 func diffNet(t *testing.T, seed uint64, n int) *topology.Network {

@@ -22,18 +22,17 @@
 // simulation first needs it, which is what lets time-varying runs (the
 // Dynamics config fields) pause churned-out nodes without desynchronizing
 // their private rng streams. Because every protocol draws only from its own
-// per-node stream, the pull order across nodes is invisible in results;
-// PregenStepper — the pre-generation strategy the engines themselves used
-// before they became incremental — remains valid for oblivious protocols
-// (the paper's algorithms) and is retained as the differential reference
-// the tests pin the lazy path against.
+// per-node stream, the pull order across nodes is invisible in results.
+// Pre-generation — the strategy the engines themselves used before they
+// became incremental — remains valid for oblivious protocols (the paper's
+// algorithms); the tests keep it as PregenStepper, the differential
+// reference they pin the lazy path against.
 package sim
 
 import (
 	"fmt"
 	"runtime"
 
-	"m2hew/internal/channel"
 	"m2hew/internal/dynamics"
 	"m2hew/internal/harness/tilepool"
 	"m2hew/internal/metrics"
@@ -89,21 +88,21 @@ type SyncConfig struct {
 	// allocates a private scratch; results are identical either way.
 	Scratch *SyncScratch
 	// Stepper optionally overrides where decisions come from. Nil — the
-	// default — pulls each decision lazily from Protocols; a PregenStepper
-	// replays a pre-generated schedule instead (differential reference,
-	// sound for oblivious protocols only). Protocols remain required either
-	// way: they are the Deliver targets.
+	// default — pulls each decision lazily from Protocols; a custom stepper
+	// (the tests' pre-generated replay, for one) serves them instead, which
+	// is sound for oblivious protocols only. Protocols remain required
+	// either way: they are the Deliver targets.
 	Stepper Stepper
 	// Tiling, if non-nil, requests the tiled parallel resolver: per-tile
 	// slot resolution on a fork-join worker pool with a deterministic
 	// two-phase halo exchange per slot (see sync_tiled.go), byte-identical
-	// to the single-threaded engine at matched seed. The tiling must
-	// partition this network's nodes with cell side ≥ the connection
-	// radius. The tiled path engages only when its preconditions hold —
-	// static world, loss-free, no per-listener event subscription, a
-	// ConcurrentStepper (the default and pregen steppers qualify), and a
-	// halo-clean in-budget mask table; otherwise the run falls back to the
-	// single-threaded resolvers, deterministically.
+	// to a run without it at matched seed. The tiling must partition this
+	// network's nodes with cell side ≥ the connection radius. The grid
+	// engages only when its preconditions hold — static world, loss-free,
+	// no per-listener event subscription, a ConcurrentStepper (the default
+	// stepper qualifies), and a halo-clean, in-budget, non-empty mask
+	// table; otherwise the run falls back, deterministically, to the
+	// implicit single tile every untiled run resolves on.
 	Tiling *topology.Tiling
 	// TileWorkers bounds the tiled resolver's parallelism (caller
 	// included). 0 picks GOMAXPROCS; 1 runs the tiled path serially
@@ -208,20 +207,18 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	//
 	//   - cands[u] lists the only transmitters listener u can ever decode
 	//     (adjacency, direction and link span resolved up front by the
-	//     topology layer), so the scalar resolver walks a flat slice instead
-	//     of re-querying Neighbors/Reaches/Span per slot — and the kernel
-	//     resolvers read the same table packed channel-major into word masks
-	//     (see syncRun for the per-run path-selection contract);
-	//   - txOn[c] counts the transmitters tuned to channel c this slot
-	//     (txTouched records which entries to reset), pruning listeners on
-	//     silent channels without scanning their candidate lists;
+	//     topology layer); the scalar resolver walks it, and the word-kernel
+	//     modes read the same table packed into halo-local masks;
+	//   - the implicit single tile over the whole network, with its mask
+	//     table (nil over budget), and the caller's grid when the run can
+	//     use one (see syncMode for the per-run mode contract);
 	//   - msgAvail[v] is the one immutable copy of A(v) shared by every
 	//     message from v; see radio.Message for the ownership contract.
 	sc := cfg.Scratch
 	if sc == nil {
 		sc = NewSyncScratch()
 	}
-	cands, msgAvail, masks, links, tablesHit := sc.networkTables(nw)
+	cands, msgAvail, links, tablesHit := sc.networkTables(nw)
 	var coverage *metrics.Coverage
 	epochSlots := 0
 	if world != nil {
@@ -232,16 +229,11 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	} else {
 		coverage = metrics.NewCoverage(links)
 	}
-	maxID := channel.ID(-1)
-	if id, ok := nw.Universe().Max(); ok {
-		maxID = id
-	}
 	//ndlint:ignore hotalloc one result allocation per run, not per slot
 	result := &SyncResult{Coverage: coverage}
 
 	var run syncRun
 	run.nw = nw
-	run.n = n
 	run.protos = cfg.Protocols
 	run.obs = cfg.Observer
 	run.loss = cfg.Loss
@@ -250,12 +242,11 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	run.coverage = coverage
 	run.curCands = cands    //ndlint:ignore scratchalias syncRun is a run-scoped local; the field dies with the run, before the scratch is recycled
 	run.msgAvail = msgAvail // covered by the directive above (own line + next)
-	run.masks = masks
+	run.startSlots = cfg.StartSlots
 	run.actions = sc.actionBuf(n)
-	run.txOn, run.txTouched = sc.txIndex(maxID)
-	if maxID < 64 {
+	if sc.channels <= 64 {
 		// Every channel ID fits one word: flatten each node's availability
-		// to a single mask so phase 1 validates with one bit test. The
+		// to a single mask so phase A validates with one bit test. The
 		// contents are recomputed per run (cheap, O(n)); only the buffer
 		// is reused.
 		run.avail1 = sc.availBuf(n)
@@ -267,17 +258,15 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		}
 	}
 	run.lossFree = cfg.Loss == nil || cfg.Loss.Prob <= 0
-	run.useKernel = world == nil && masks != nil
 	// The observer's subscription (EventMasker; AllEvents when undeclared)
 	// gates each emission site, and an observer subscribed to no
 	// per-listener kind frees the engine from the per-listener event order
-	// entirely — such runs take the batched path exactly like observerless
-	// ones (slot and epoch events are unaffected: both paths emit them
-	// identically).
+	// entirely — such runs resolve exactly like observerless ones (slot and
+	// epoch events are unaffected: every mode emits them identically).
 	mask := observerMask(cfg.Observer)
 	// The internals sink is resolved once; tallying per slot is gated on it
 	// so observerless runs pay one dead boolean test. A sink with a zero
-	// EventMask leaves every path decision below untouched (see
+	// EventMask leaves every mode decision below untouched (see
 	// internals.go for the non-perturbation contract).
 	sink, _ := cfg.Observer.(InternalsSink)
 	run.tallyInternals = sink != nil
@@ -286,57 +275,48 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	run.wantIdle = mask.Has(EventIdle)
 	run.wantSlot = mask.Has(EventSlot)
 	perListener := run.wantDeliver || run.wantColl || run.wantIdle
-	// The tiled path shares the batched path's preconditions (static,
-	// loss-free, no per-listener events) plus a stepper declared safe for
-	// per-node-disjoint concurrent pulls, and requires the halo-local mask
-	// table to build (nil on halo violation or budget overrun — the
-	// deterministic fallback). Worker setup is per-run: the pool's
+
+	// The caller's grid requires a static, loss-free run with no
+	// per-listener events, a stepper declared safe for per-node-disjoint
+	// concurrent pulls, and a halo-clean, in-budget, non-empty mask table
+	// (nil on halo violation or budget overrun — the deterministic
+	// fallback; an edgeless network has nothing to shard). Anything else
+	// runs on the implicit single tile. Worker setup is per-run: the pool's
 	// goroutines live exactly as long as the run.
+	var ts tileSet
 	if cfg.Tiling != nil && world == nil && run.lossFree && !perListener {
 		if _, ok := st.(ConcurrentStepper); ok {
-			if tm, tiles := sc.tileState(nw, cfg.Tiling, cands, int(maxID)+1); tm != nil {
-				workers := cfg.TileWorkers
-				if workers == 0 {
-					workers = runtime.GOMAXPROCS(0)
-				}
-				// Workers beyond the tile count would never find work.
-				if t := cfg.Tiling.Tiles(); workers > t {
-					workers = t
-				}
-				pool := tilepool.New(workers)
-				defer pool.Close()
-				//ndlint:ignore hotalloc one tiledRun and two phase closures per run, not per slot
-				tr := &tiledRun{
-					tl: cfg.Tiling, masks: tm,
-					pool:       pool,
-					tiles:      tiles, //ndlint:ignore scratchalias tiledRun is run-scoped; the field dies with the run, before the scratch is recycled
-					channels:   int(maxID) + 1,
-					startSlots: cfg.StartSlots,
-				}
-				tr.fnA = func(ti int) { run.tileSlotA(ti) } //ndlint:ignore hotalloc per-run closure, not per-slot
-				tr.fnB = func(ti int) { run.tileSlotB(ti) }
-				run.tiled = tr
-			}
+			ts = sc.gridTiles(nw, cfg.Tiling, cands)
 		}
 	}
-	run.batched = run.tiled == nil && run.useKernel && run.lossFree && !perListener
-	run.storeActions = run.wantSlot || (run.tiled == nil && !run.useKernel)
-	if run.useKernel && run.tiled == nil {
-		run.wordsPer = (n + 63) / 64
-		run.txWords = sc.txWordsBuf((int(maxID) + 1) * run.wordsPer)
-		if !run.lossFree {
-			run.ovl = sc.ovlBuf(run.wordsPer)
+	if ts.masks != nil {
+		run.mode = modeTiled
+		workers := cfg.TileWorkers
+		if workers == 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		// Workers beyond the tile count would never find work.
+		if t := cfg.Tiling.Tiles(); workers > t {
+			workers = t
+		}
+		run.pool = tilepool.New(workers)
+		defer run.pool.Close()
+		run.fnA = func(ti int) { run.tileSlotA(ti) } //ndlint:ignore hotalloc two phase closures per run, not per slot
+		run.fnB = func(ti int) { run.tileSlotB(ti) }
+	} else {
+		ts = sc.singleTile()
+		switch {
+		case world != nil || ts.masks == nil:
+			run.mode = modeScalar
+		case run.lossFree && !perListener:
+			run.mode = modeBatched
+		default:
+			run.mode = modeKernel
 		}
 	}
-	if run.batched {
-		run.rx, run.rxTouched = sc.rxBuckets(int(maxID) + 1)
-	} else if run.useKernel && run.tiled == nil {
-		run.rxList, run.rxChs = sc.rxListBufs(n)
-	}
-	run.hrs, run.us, run.ks, run.dec = sc.runBufs(n)
-	for u := 0; u < n; u++ {
-		run.us[u] = topology.NodeID(u) // phase1's static fast path reads us prefilled
-	}
+	run.tileSet = ts
+	run.storeActions = run.wantSlot || run.mode == modeScalar
+	run.hrs = sc.heardBuf(n)
 	for u, p := range cfg.Protocols {
 		hr, _ := p.(HeardReporter)
 		run.hrs[u] = hr
@@ -344,14 +324,13 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 
 	// Dynamic-run state: the current epoch snapshot (its candidate table
 	// shadows the static table through run.curCands, so the scalar resolver
-	// reads one variable on both paths) and per-node local-slot counters — a
+	// reads one variable either way) and per-node local-slot counters — a
 	// node's decision index is its count of active slots, not the global
 	// slot, so a churned node's private rng stream pauses while it is out of
 	// the network.
 	var cur *dynamics.Epoch
-	var locals []int
 	if world != nil {
-		locals = sc.localSlotBuf(n)
+		run.locals = sc.localSlotBuf(n)
 	}
 
 	for slot := 0; slot < cfg.MaxSlots; slot++ {
@@ -364,6 +343,7 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			if e := slot / epochSlots; cur == nil || (e != cur.Index && e < world.Horizon()) {
 				cur = world.At(e)
 				run.curCands = cur.Cands
+				run.active = cur.Active
 				if mask.Has(EventEpoch) {
 					cfg.Observer.OnEvent(Event{
 						Kind: EventEpoch, Time: float64(slot), Slot: slot, Epoch: cur.Index,
@@ -397,56 +377,16 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			}
 		}
 
-		// The tiled path owns its whole slot — decision pulls, EventSlot
-		// emission, resolution and delivery all happen inside tiledSlot
-		// (two pool fork-joins around a halo barrier), so none of the
-		// single-threaded machinery below runs.
-		if run.tiled != nil {
-			if err := run.tiledSlot(slot); err != nil {
-				return nil, err
-			}
-			result.SlotsSimulated = slot + 1
-			if coverage.Complete() && !cfg.RunToMaxSlots {
-				break
-			}
-			continue
-		}
-
-		// Phase 1: collect actions — one batched pull through the stepper
-		// seam when available — and index transmitters by channel.
-		var active []bool
-		if cur != nil {
-			active = cur.Active
-		}
-		if err := run.phase1(slot, active, locals, cfg.StartSlots); err != nil {
+		// One slot through the pipeline (sync_tiled.go). The loss-model
+		// draw order is part of the reproducibility contract: exactly one
+		// draw per candidate that transmits on the listener's channel over
+		// an operating link, consumed in ascending candidate order,
+		// stopping at the second surviving transmission, listeners in
+		// ascending NodeID order (resolveSlotNaive in the differential
+		// tests re-states this order from first principles).
+		if err := run.runSlot(slot); err != nil {
 			return nil, err
 		}
-		if mask.Has(EventSlot) {
-			cfg.Observer.OnEvent(Event{
-				Kind: EventSlot, Time: float64(slot), Slot: slot,
-				Actions: run.actions,
-			})
-		}
-
-		// Phase 2: resolve receptions. The loss-model draw order is part of
-		// the reproducibility contract: exactly one draw per candidate that
-		// transmits on the listener's channel over an operating link,
-		// consumed in ascending candidate order, stopping at the second
-		// surviving transmission (resolveSlotNaive in the differential tests
-		// re-states this order from first principles; every resolver below
-		// preserves it — see syncRun for why the batched path may reorder
-		// the rest).
-		switch {
-		case run.batched:
-			run.resolveBatched(slot)
-		case run.useKernel:
-			run.resolveKernel(slot)
-		default:
-			run.resolveScalar(slot)
-		}
-
-		// Reset the per-slot indexes for the next slot.
-		run.clearSlot()
 
 		result.SlotsSimulated = slot + 1
 		// Early stop requires a quiescent world: a dynamic run may grow new
@@ -456,10 +396,6 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			break
 		}
 	}
-	sc.txTouched = run.txTouched[:0] // keep any capacity the run grew
-	if run.rx != nil {
-		sc.rxTouched = run.rxTouched[:0]
-	}
 
 	if coverage.Complete() {
 		result.Complete = true
@@ -467,36 +403,37 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		result.CompletionSlot = int(at)
 	}
 	if sink != nil {
-		sink.OnInternals(run.finalizeInternals(int64(result.SlotsSimulated), world == nil && masks == nil, tablesHit))
+		overBudget := world == nil && sc.single.masks == nil
+		sink.OnInternals(run.finalizeInternals(int64(result.SlotsSimulated), overBudget, tablesHit))
 	}
 	return result, nil
 }
 
-// finalizeInternals completes the run's internals report. Path selection is
-// fixed per run, so the per-path slot attribution is free: the whole run's
-// slot count lands on whichever resolver actually executed. overBudget is
-// the static-run mask-table overrun (dynamic runs take the scalar path by
-// design and do not count); tablesHit reports scratch network-table reuse.
+// finalizeInternals builds the run's internals report. The mode is fixed
+// per run, so the per-path slot attribution is free: the whole run's slot
+// count lands on the mode's counter. Stepper and halo tallies are summed
+// over the run's tiles. overBudget is the static-run single-tile mask-table
+// overrun (dynamic runs take the scalar mode by design and do not count);
+// tablesHit reports scratch network-table reuse.
 func (r *syncRun) finalizeInternals(slots int64, overBudget, tablesHit bool) Internals {
-	in := r.internals
-	in.SlotsSimulated = slots
-	switch {
-	case r.tiled != nil:
-		in.TiledSlots = slots
-		for i := range r.tiled.tiles {
-			ts := &r.tiled.tiles[i]
-			in.StepperBatches += ts.batches
-			in.StepperBatchNodes += ts.batchNodes
-			if ts.maxBatch > in.MaxStepperBatch {
-				in.MaxStepperBatch = ts.maxBatch
-			}
-			in.BatchSteps += ts.batchSteps
-			in.HaloExchanges += ts.haloEx
-			in.HaloWordsCopied += ts.haloWordsCopied
+	in := Internals{SlotsSimulated: slots}
+	for i := range r.tiles {
+		ts := &r.tiles[i]
+		in.StepperBatches += ts.batches
+		in.StepperBatchNodes += ts.batchNodes
+		if ts.maxBatch > in.MaxStepperBatch {
+			in.MaxStepperBatch = ts.maxBatch
 		}
-	case r.batched:
+		in.BatchSteps += ts.batchSteps
+		in.HaloExchanges += ts.haloEx
+		in.HaloWordsCopied += ts.haloWordsCopied
+	}
+	switch r.mode {
+	case modeTiled:
+		in.TiledSlots = slots
+	case modeBatched:
 		in.BatchedSlots = slots
-	case r.useKernel:
+	case modeKernel:
 		in.KernelSlots = slots
 	default:
 		in.ScalarSlots = slots

@@ -1,10 +1,10 @@
 package sim
 
-// Differential sweep for RunSync's per-run resolver path selection (see
-// syncRun in sync_resolve.go). The engine picks among three resolvers —
-// batched channel-major, listener-major word kernel, and the scalar
-// candidate scan — based on the observer's event subscription, the loss
-// model, dynamics, and the mask-table budget. Every path must behave as if
+// Differential sweep for RunSync's per-run mode selection (see syncMode in
+// sync_resolve.go). Without a caller grid the engine runs batched (the
+// single tile, event-free), kernel (the single tile, ordered) or scalar
+// (the candidate scan), based on the observer's event subscription, the
+// loss model, dynamics, and the mask-table budget. Every mode must behave as if
 // it executed resolveSlotNaive's listener-major loop; these tests replay
 // the same seeded scenarios through each engine configuration that selects
 // a different path and pin them all to the naive reference.

@@ -2,47 +2,56 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"m2hew/internal/channel"
-	"m2hew/internal/harness/tilepool"
 	"m2hew/internal/radio"
 	"m2hew/internal/topology"
 )
 
-// This file is the tiled parallel resolver — the sharded sync engine. The
-// geometric graph is partitioned into grid tiles (topology.Tiling, cell
-// side ≥ radius), each slot runs as two fork-join phases on a tilepool:
+// This file is the synchronous engine's one slot pipeline. Every run
+// resolves on a tiling: the caller's grid (SyncConfig.Tiling, cell side ≥
+// radius) or, when there is none or the run cannot use it, one implicit
+// tile holding the whole network, whose halo space is the NodeID space.
+// Each slot runs two phases per tile:
 //
-//	phase A  every tile, in parallel: clear its per-slot state, pull its
-//	         nodes' decisions through the stepper seam, validate, and
-//	         scatter transmitters into the tile-local per-channel word
-//	         masks and listeners into the tile's listener list;
-//	barrier  the pool's join publishes every tile's transmitter masks;
-//	phase B  every tile, in parallel: for each listening channel, assemble
-//	         the halo transmitter mask by word-copying the 3×3 neighbor
-//	         tiles' segments, intersect each listener's halo-local
-//	         candidate row (topology.TileMasks) against it, and deliver
-//	         unique survivors to the listener's protocol;
-//	apply    the caller, sequentially in ascending tile order: coverage
-//	         bookkeeping for the phase's deliveries.
+//	phase A  clear the tile's per-slot state, pull its active nodes'
+//	         decisions through the stepper seam, validate, and scatter
+//	         transmitters into the tile-local per-channel word masks and
+//	         listeners into the tile's listener list;
+//	barrier  (grid) the pool's join publishes every tile's transmitter
+//	         masks; the error sweep and the slot event run on the caller;
+//	phase B  for each listener in ascending NodeID order, take the halo
+//	         transmitter mask on its channel — word-copied from the 3×3
+//	         neighbor tiles' segments, or the tile's own masks when the
+//	         tile is its own halo — and intersect the listener's
+//	         halo-local candidate row (topology.TileMasks) against it;
+//	apply    (grid) the caller, sequentially in ascending tile order:
+//	         coverage bookkeeping for the phase's deliveries.
 //
-// Byte-identity with the single-threaded engine at matched seed rests on
-// the same argument as the batched (channel-major) path, whose
-// preconditions the tiled path shares (static world, loss-free, no
-// per-listener observer subscription):
+// On a grid both phases run per tile on a tilepool, in parallel. The
+// single tile runs them inline and in order: phase B delivers as it goes
+// (protocol, coverage, delivery event), emits idle and collision events,
+// and walks a lossy listener's overlap bits in candidate order, drawing
+// per bit — so the event order and the loss-draw order are the listener-
+// major order resolveSlotNaive (the test oracle) defines.
+//
+// Byte-identity of a grid run with the single tile at matched seed rests on
+// the preconditions the grid requires (static world, loss-free, no
+// per-listener observer subscription, a ConcurrentStepper):
 //
 //   - decisions: every protocol draws from its own per-node rng stream and
 //     per-node pull order is preserved (ascending local slot), so pulling
-//     tile-by-tile in parallel yields the decision sequences the serial
-//     engine pulls — the pool's barrier separates slot s's pulls from slot
-//     s's deliveries exactly as the serial phase split does, so even
+//     tile-by-tile in parallel yields the decision sequences the single
+//     tile pulls — the pool's barrier separates slot s's pulls from slot
+//     s's deliveries exactly as the inline phase split does, so even
 //     adaptive (non-oblivious) protocols see the identical interleaving of
 //     Step and Deliver calls;
 //   - resolution: each listener is resolved by exactly one tile (its own),
 //     against a halo mask that the barrier guarantees is the slot's
 //     complete transmitter picture within radio reach (NewTileMasks proved
 //     structurally that no candidate lies outside the halo), through the
-//     same OverlapResolve kernel as the flat paths;
+//     same OverlapResolve kernel;
 //   - effects: with no loss model there are no shared-rng draws to order,
 //     with no per-listener events there is no event order to preserve, a
 //     listener receives at most one delivery per slot, and half duplex
@@ -52,25 +61,12 @@ import (
 //     sequentially after the barrier;
 //   - errors: each tile validates its nodes in ascending NodeID order and
 //     stops at its first failure; the engine reports the minimum failing
-//     node across tiles, which is the first failure the serial ascending
-//     scan would have hit (validity is a per-node property), with the
-//     identical message.
-type tiledRun struct {
-	tl       *topology.Tiling
-	masks    *topology.TileMasks
-	pool     *tilepool.Pool
-	tiles    []tileState
-	channels int
+//     node across tiles, which is the first failure an ascending scan of
+//     the whole network would hit (validity is a per-node property), with
+//     the identical message.
 
-	// Per-slot inputs to the phase closures, set by tiledSlot before each
-	// pool round; the closures themselves are built once per run.
-	slot       int
-	startSlots []int
-	fnA, fnB   func(int)
-}
-
-// tileDelivery is one phase-B delivery, queued for the sequential
-// coverage-apply step.
+// tileDelivery is one phase-B delivery on a grid, queued for the
+// sequential coverage-apply step.
 type tileDelivery struct {
 	from, to topology.NodeID
 }
@@ -96,6 +92,9 @@ type tileState struct {
 	rxU []topology.NodeID
 	rxC []channel.ID
 
+	// Halo assembly, nil on a tile that is its own halo (a 1×1 grid, the
+	// implicit tile included): its halo space is its own segment, so
+	// phase B reads localTx directly.
 	halo      []uint64 // channel-major halo masks, channels × haloWords
 	haloStamp []int    // per channel: slot of last assembly (-1 = never)
 	haloLive  []bool   // per channel: any transmitter present at last assembly
@@ -129,9 +128,11 @@ func buildTileStates(tl *topology.Tiling, channels int) []tileState {
 		ts.txTouched = make([]channel.ID, 0, 8)
 		ts.rxU = make([]topology.NodeID, 0, n)
 		ts.rxC = make([]channel.ID, 0, n)
-		ts.halo = make([]uint64, channels*ts.haloWords)
-		ts.haloStamp = make([]int, channels)
-		ts.haloLive = make([]bool, channels)
+		if len(tl.HaloTiles(t)) > 1 {
+			ts.halo = make([]uint64, channels*ts.haloWords)
+			ts.haloStamp = make([]int, channels)
+			ts.haloLive = make([]bool, channels)
+		}
 	}
 	return tiles
 }
@@ -162,22 +163,27 @@ func resetTileStates(tiles []tileState) {
 	}
 }
 
-// tiledSlot executes one slot on the tiled path: phase A across the pool,
-// the error sweep, the slot event, phase B across the pool, and the
-// sequential coverage apply.
+// runSlot executes one slot: phase A (across the pool on a grid, inline on
+// the single tile), the error sweep, the slot event, then phase B — across
+// the pool followed by the sequential coverage apply on a grid, inline on
+// the single tile, or the candidate scan in scalar mode.
 //
 //nd:hotpath
-func (r *syncRun) tiledSlot(slot int) error {
-	tr := r.tiled
-	tr.slot = slot
-	tr.pool.Run(len(tr.tiles), tr.fnA)
+func (r *syncRun) runSlot(slot int) error {
+	r.slot = slot
+	r.ev.Time, r.ev.Slot = float64(slot), slot
+	if r.pool != nil {
+		r.pool.Run(len(r.tiles), r.fnA)
+	} else {
+		r.tileSlotA(0)
+	}
 
-	// Error sweep: the minimum failing node across tiles is the failure the
-	// serial ascending scan would have reported first.
+	// Error sweep: the minimum failing node across tiles is the failure an
+	// ascending scan of the whole network would have reported first.
 	var firstErr error
 	firstNode := topology.NodeID(-1)
-	for t := range tr.tiles {
-		ts := &tr.tiles[t]
+	for t := range r.tiles {
+		ts := &r.tiles[t]
 		if ts.err != nil && (firstNode < 0 || ts.errNode < firstNode) {
 			firstErr, firstNode = ts.err, ts.errNode
 		}
@@ -193,17 +199,23 @@ func (r *syncRun) tiledSlot(slot int) error {
 		})
 	}
 
-	tr.pool.Run(len(tr.tiles), tr.fnB)
-
-	// Sequential apply: the coverage oracle is shared across tiles, so it
-	// runs on the caller in ascending tile order. Within-slot order is
-	// invisible in results — every delivery carries the same slot stamp and
-	// each link is observed at most once per slot — so any fixed order
-	// matches the serial engine.
-	for t := range tr.tiles {
-		ts := &tr.tiles[t]
-		for _, d := range ts.deliv {
-			r.coverage.Observe(topology.Link{From: d.from, To: d.to}, float64(slot))
+	switch {
+	case r.mode == modeScalar:
+		r.resolveScalar()
+	case r.pool == nil:
+		r.tileSlotB(0)
+	default:
+		r.pool.Run(len(r.tiles), r.fnB)
+		// Sequential apply: the coverage oracle is shared across tiles, so
+		// it runs on the caller in ascending tile order. Within-slot order
+		// is invisible in results — every delivery carries the same slot
+		// stamp and each link is observed at most once per slot — so any
+		// fixed order matches the single tile.
+		for t := range r.tiles {
+			ts := &r.tiles[t]
+			for _, d := range ts.deliv {
+				r.coverage.Observe(topology.Link{From: d.from, To: d.to}, float64(slot))
+			}
 		}
 	}
 	return nil
@@ -214,9 +226,8 @@ func (r *syncRun) tiledSlot(slot int) error {
 //
 //nd:hotpath
 func (r *syncRun) tileSlotA(ti int) {
-	tr := r.tiled
-	ts := &tr.tiles[ti]
-	slot := tr.slot
+	ts := &r.tiles[ti]
+	slot := r.slot
 
 	for _, c := range ts.txTouched {
 		ts.txOn[c] = 0
@@ -230,28 +241,43 @@ func (r *syncRun) tileSlotA(ti int) {
 	ts.deliv = ts.deliv[:0]
 	ts.err = nil
 
-	// Collect the tile's active nodes, mirroring phase1: us stays prefilled
-	// with the tile's nodes on the uniform-start fast path.
+	// Collect the tile's active nodes: dynamics activity with per-node
+	// local-slot counters (a churned node's decision index pauses with
+	// it), staggered starts, or — the fast path — every node at the global
+	// slot, with us prefilled with the tile's nodes.
 	us, ks := ts.us, ts.ks
+	active, locals, startSlots := r.active, r.locals, r.startSlots
 	nb := 0
-	if tr.startSlots == nil {
+	switch {
+	case active != nil:
+		for _, u := range ts.nodes {
+			if !active[u] {
+				r.actions[u] = radio.Action{Mode: radio.Quiet}
+				continue
+			}
+			us[nb], ks[nb] = u, locals[u]
+			locals[u]++
+			nb++
+		}
+	case startSlots != nil:
+		for _, u := range ts.nodes {
+			start := startSlots[u]
+			if slot < start {
+				r.actions[u] = radio.Action{Mode: radio.Quiet}
+				continue
+			}
+			us[nb], ks[nb] = u, slot-start
+			nb++
+		}
+	default:
 		nb = len(ts.nodes)
 		for i := 0; i < nb; i++ {
 			ks[i] = slot
 		}
-	} else {
-		for _, u := range ts.nodes {
-			if start := tr.startSlots[u]; slot < start {
-				r.actions[u] = radio.Action{Mode: radio.Quiet}
-				continue
-			} else {
-				us[nb] = u
-				ks[nb] = slot - start
-				nb++
-			}
-		}
 	}
-	if nb == 0 {
+	// A grid tile with no active node pulls nothing; the single tile pulls
+	// (and tallies) one batch every slot, empty or not.
+	if nb == 0 && r.mode == modeTiled {
 		return
 	}
 
@@ -289,7 +315,7 @@ func (r *syncRun) tileSlotA(ti int) {
 				ts.txTouched = append(ts.txTouched, c)
 			}
 			ts.txOn[c]++
-			channel.SetBit(ts.localTx[int(c)*ts.words:(int(c)+1)*ts.words], tr.tl.LocalIndex(u))
+			channel.SetBit(ts.localTx[int(c)*ts.words:(int(c)+1)*ts.words], r.tl.LocalIndex(u))
 		case radio.Receive:
 			c := a.Channel
 			if !r.tileValid(u, c) {
@@ -311,9 +337,9 @@ func (r *syncRun) tileSlotA(ti int) {
 	}
 }
 
-// tileValid is phase A's fused membership check, identical to phase2's: the
-// single-word mask test when every channel ID fits one word, the set lookup
-// otherwise.
+// tileValid is phase A's fused membership check: a single word test when
+// every channel ID fits one word (avail1), the set lookup otherwise. The
+// full Validate runs only on the failure path, for its error message.
 //
 //nd:hotpath
 func (r *syncRun) tileValid(u topology.NodeID, c channel.ID) bool {
@@ -323,64 +349,147 @@ func (r *syncRun) tileValid(u topology.NodeID, c channel.ID) bool {
 	return r.nw.Avail(u).Contains(c)
 }
 
-// tileSlotB is phase B for one tile: lazy per-channel halo assembly, then
-// one OverlapResolve per listener.
+// tileSlotB is phase B for one tile: each listener, in ascending NodeID
+// order, against the halo transmitter mask on its channel — one
+// OverlapResolve loss-free, an ordered bit walk under loss.
 //
 //nd:hotpath
 func (r *syncRun) tileSlotB(ti int) {
-	tr := r.tiled
-	ts := &tr.tiles[ti]
-	slot := tr.slot
-	hood := tr.tl.HaloTiles(ti)
-	segs := tr.tl.HaloSegments(ti)
+	ts := &r.tiles[ti]
+	slot, masks, lossFree := r.slot, r.masks, r.lossFree
+	own := ts.halo == nil // the tile is its own halo: read its own masks
 	for i, uid := range ts.rxU {
 		c := ts.rxC[i]
-		base := int(c) * ts.haloWords
-		if ts.haloStamp[c] != slot {
-			// First listener on c this slot: assemble the channel's halo
-			// mask. Every segment is fully written (copied or zeroed), so
-			// stale bits from earlier slots never survive.
-			ts.haloStamp[c] = slot
-			live := false
-			for j, s := range hood {
-				src := &tr.tiles[s]
-				dst := ts.halo[base+int(segs[j]) : base+int(segs[j+1])]
-				if src.txOn[c] == 0 {
-					for k := range dst {
-						dst[k] = 0
-					}
-					continue
-				}
-				live = true
-				copy(dst, src.localTx[int(c)*src.words:(int(c)+1)*src.words])
-				if r.tallyInternals && int(s) != ti {
-					ts.haloEx++
-					ts.haloWordsCopied += int64(len(dst))
-				}
+		var tx []uint64
+		var live bool
+		if own {
+			tx, live = ts.localTx[int(c)*ts.words:(int(c)+1)*ts.words], ts.txOn[c] != 0
+		} else {
+			if ts.haloStamp[c] != slot {
+				r.assembleHalo(ti, ts, c)
 			}
-			ts.haloLive[c] = live
+			base := int(c) * ts.haloWords
+			tx, live = ts.halo[base:base+ts.haloWords], ts.haloLive[c]
 		}
-		if !ts.haloLive[c] {
-			continue // certain silence within radio reach of the whole tile
+		if !live {
+			// Nobody within radio reach transmits on c: certain silence,
+			// no draws.
+			if r.wantIdle {
+				r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventIdle, 0, uid, c
+				r.obs.OnEvent(r.ev)
+			}
+			continue
 		}
-		row, lo := tr.masks.Row(uid, c)
-		if count, first := channel.OverlapResolve(row, ts.halo[base+lo:base+ts.haloWords]); count == 1 {
-			r.tiledDeliver(ts, tr.tl.HaloNode(ti, lo<<6+first), uid)
+		row, lo := masks.Row(uid, c)
+		if !lossFree {
+			r.resolveLossy(ti, ts, uid, c, row, tx, lo)
+			continue
+		}
+		count, first := channel.OverlapResolve(row, tx[lo:])
+		switch count {
+		case 1:
+			r.deliver(ts, r.haloNode(ti, ts, lo<<6+first), uid, c)
+		case 0:
+			if r.wantIdle {
+				r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventIdle, 0, uid, c
+				r.obs.OnEvent(r.ev)
+			}
+		default:
+			if r.wantColl {
+				r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventCollision, r.haloNode(ti, ts, lo<<6+first), uid, c
+				r.obs.OnEvent(r.ev)
+			}
 		}
 	}
 }
 
-// tiledDeliver delivers one unique transmission to a listener's protocol
-// in-worker — safe because each listener belongs to exactly one tile and
-// sender state is frozen for the slot (half duplex) — and queues the link
-// for the sequential coverage apply.
+// haloNode maps a bit of tile ti's halo space to its node. A tile that is
+// its own halo holds every node in ascending order, so there the halo space
+// is the NodeID space.
 //
 //nd:hotpath
-func (r *syncRun) tiledDeliver(ts *tileState, sender, uid topology.NodeID) {
-	msg := radio.Message{From: sender, Avail: r.msgAvail[sender]}
-	if hr := r.hrs[sender]; hr != nil {
-		msg.Heard = copyHeard(hr.Heard())
+func (r *syncRun) haloNode(ti int, ts *tileState, bit int) topology.NodeID {
+	if ts.halo == nil {
+		return topology.NodeID(bit)
 	}
-	r.protos[uid].Deliver(msg)
-	ts.deliv = append(ts.deliv, tileDelivery{from: sender, to: uid})
+	return r.tl.HaloNode(ti, bit)
+}
+
+// assembleHalo builds grid tile ti's halo transmitter mask on channel c
+// for this slot, on the first listener on c: every neighborhood segment is
+// fully written, copied or zeroed, so stale bits from earlier slots never
+// survive, and haloLive records whether any transmitter within the halo is
+// on c.
+//
+//nd:hotpath
+func (r *syncRun) assembleHalo(ti int, ts *tileState, c channel.ID) {
+	ts.haloStamp[c] = r.slot
+	base := int(c) * ts.haloWords
+	live := false
+	hood := r.tl.HaloTiles(ti)
+	segs := r.tl.HaloSegments(ti)
+	for j, s := range hood {
+		src := &r.tiles[s]
+		dst := ts.halo[base+int(segs[j]) : base+int(segs[j+1])]
+		if src.txOn[c] == 0 {
+			for k := range dst {
+				dst[k] = 0
+			}
+			continue
+		}
+		live = true
+		copy(dst, src.localTx[int(c)*src.words:(int(c)+1)*src.words])
+		if r.tallyInternals && int(s) != ti {
+			ts.haloEx++
+			ts.haloWordsCopied += int64(len(dst))
+		}
+	}
+	ts.haloLive[c] = live
+}
+
+// resolveLossy resolves one lossy listener on the single tile: the live
+// check already pruned certain silence without consuming any erasure
+// draws, so walk the overlap of the candidate row with the transmitter
+// mask in ascending candidate order, drawing exactly as the candidate scan
+// would — one draw per candidate transmitting on the listener's channel
+// over an operating link, stopping at the second surviving transmission.
+//
+//nd:hotpath
+func (r *syncRun) resolveLossy(ti int, ts *tileState, uid topology.NodeID, c channel.ID, row, tx []uint64, lo int) {
+	var sender, firstSender topology.NodeID
+	senders := 0
+scan:
+	for i, w := range row {
+		w &= tx[lo+i]
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			w &= w - 1
+			// Unreliable channels: the transmission may fade at uid.
+			if r.loss.erased() {
+				continue
+			}
+			v := r.haloNode(ti, ts, (lo+i)<<6+b)
+			if senders == 0 {
+				firstSender = v
+			}
+			senders++
+			sender = v
+			if senders > 1 {
+				break scan // collision; no need to scan further
+			}
+		}
+	}
+	if senders == 1 {
+		r.deliver(ts, sender, uid, c)
+		return
+	}
+	if senders == 0 {
+		if r.wantIdle {
+			r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventIdle, 0, uid, c
+			r.obs.OnEvent(r.ev)
+		}
+	} else if r.wantColl {
+		r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventCollision, firstSender, uid, c
+		r.obs.OnEvent(r.ev)
+	}
 }

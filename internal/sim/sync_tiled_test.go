@@ -1,12 +1,12 @@
 package sim
 
-// Differential sweep for the tiled parallel resolver (sync_tiled.go). The
-// tiled path must be byte-identical to the single-threaded engine at
-// matched seed across tile counts, worker counts, boundary-straddling
-// radii and staggered starts — and must fall back to the single-threaded
-// resolvers, deterministically, whenever a precondition fails (loss,
-// dynamics, per-listener observers, non-concurrent steppers, tilings
-// finer than the connection radius).
+// Differential sweep for the tiled parallel resolver (sync_tiled.go). A
+// caller grid must be byte-identical to the untiled engine (the single
+// tile) at matched seed across tile counts, worker counts,
+// boundary-straddling radii and staggered starts — and must fall back to
+// the single tile, deterministically, whenever a precondition fails (loss,
+// dynamics, per-listener observers, non-concurrent steppers, tilings finer
+// than the connection radius).
 
 import (
 	"fmt"
@@ -108,8 +108,8 @@ func runTiledSeeded(t *testing.T, nw *topology.Network, seed uint64, tl *topolog
 // TestSyncTiledMatchesSingleThreaded is the tentpole's byte-identity sweep:
 // the same seeded protocols on the same network must produce identical
 // results — completion slot, slot count, full coverage record — across the
-// single-threaded engine and the tiled engine at tile counts 1, 2, 4 and
-// 16 and worker counts 1, 2 and GOMAXPROCS.
+// untiled engine (the single tile) and the tiled engine at tile counts 1,
+// 2, 4 and 16 and worker counts 1, 2 and GOMAXPROCS.
 func TestSyncTiledMatchesSingleThreaded(t *testing.T) {
 	const maxSlots = 4000
 	for _, tc := range []struct {
@@ -269,9 +269,10 @@ type nonConcurrentStepper struct{ st Stepper }
 func (s nonConcurrentStepper) Next(u topology.NodeID, k int) radio.Action { return s.st.Next(u, k) }
 
 // TestSyncTiledFallsBack sweeps every precondition that must force the
-// deterministic single-threaded fallback: a loss model, a dynamic world, a
-// per-listener observer subscription, a stepper without the concurrency
-// marker, and a tiling finer than the connection radius (halo violation).
+// deterministic fallback to the single tile: a loss model, a dynamic
+// world, a per-listener observer subscription, a stepper without the
+// concurrency marker, and a tiling finer than the connection radius (halo
+// violation).
 // In each case the run must succeed, report zero tiled slots, and — where a
 // loss-free static baseline exists — match the non-tiled run exactly.
 func TestSyncTiledFallsBack(t *testing.T) {

@@ -362,10 +362,10 @@ func NewAggregate(reg *Registry, opts ...AggregateOption) *Aggregate {
 	a.tiledSlots = reg.Counter("nd_resolver_tiled_slots_total", "sync slots resolved on the tiled parallel path")
 	a.haloExchanges = reg.Counter("nd_halo_exchanges_total", "tiled-path halo segment copies from neighbor tiles")
 	a.haloWords = reg.Counter("nd_halo_words_copied_total", "words copied across tile halos")
-	a.batchedSlots = reg.Counter("nd_resolver_batched_slots_total", "sync slots resolved on the channel-major batched path")
-	a.kernelSlots = reg.Counter("nd_resolver_kernel_slots_total", "sync slots resolved on the listener-major kernel path")
+	a.batchedSlots = reg.Counter("nd_resolver_batched_slots_total", "sync slots resolved on the single tile, event-free and loss-free")
+	a.kernelSlots = reg.Counter("nd_resolver_kernel_slots_total", "sync slots resolved on the single tile in listener order (per-listener events or loss)")
 	a.scalarSlots = reg.Counter("nd_resolver_scalar_slots_total", "sync slots resolved on the scalar candidate-scan path")
-	a.maskOverruns = reg.Counter("nd_mask_budget_overruns_total", "static sync runs whose candidate-mask table exceeded its word budget")
+	a.maskOverruns = reg.Counter("nd_mask_budget_overruns_total", "static sync runs whose single-tile mask table exceeded its word budget")
 	a.stepperBatches = reg.Counter("nd_stepper_batches_total", "sync decision-pull batches (one per slot)")
 	a.stepperNodes = reg.Counter("nd_stepper_batch_nodes_total", "decisions pulled across all sync stepper batches")
 	a.batchSteps = reg.Counter("nd_stepper_batch_calls_total", "stepper batches served by a single NextBatch call")

@@ -120,7 +120,7 @@ func GeometricCSR(n int, radius float64, r *rng.Source) (*Network, error) {
 	for i := 0; i < n; i++ {
 		adj[i] = arena[off[i]:off[i+1]:off[i+1]]
 	}
-	return &Network{nodes: nodes, adj: adj, universeStale: true}, nil
+	return &Network{nodes: nodes, adj: adj}, nil
 }
 
 // GeometricConnectedCSR retries GeometricCSR until the graph is connected,

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"m2hew/internal/channel"
 )
@@ -49,12 +50,14 @@ type Link struct {
 type Network struct {
 	nodes []Node
 	adj   [][]NodeID // sorted adjacency lists
-	// universe caches the union of all Avail sets. universeStale defers the
-	// O(n) recomputation to the next Universe() read: assigners call
-	// SetAvail once per node, and an eager refresh there would make bulk
-	// channel assignment O(n²) — minutes at 100k nodes.
-	universe      channel.Set
-	universeStale bool
+	// universe caches the union of all Avail sets; nil means stale. SetAvail
+	// only clears it, deferring the O(n) recomputation to the next
+	// Universe() read: assigners call SetAvail once per node, and an eager
+	// refresh there would make bulk channel assignment O(n²) — minutes at
+	// 100k nodes. The pointer is atomic so concurrent readers (trial
+	// workers sharing one network) may refresh it at the same time: each
+	// computes the same union and publishes an immutable value.
+	universe atomic.Pointer[channel.Set]
 	// spanOverride optionally restricts the span of specific undirected
 	// edges below A(u)∩A(v), modeling diverse propagation characteristics
 	// (an extension the paper mentions in Section II). Keys are canonical
@@ -102,7 +105,7 @@ func newNetwork(nodes []Node, edges [][2]NodeID) (*Network, error) {
 	for _, neighbors := range adj {
 		sort.Slice(neighbors, func(i, j int) bool { return neighbors[i] < neighbors[j] })
 	}
-	return &Network{nodes: nodes, adj: adj, universeStale: true}, nil
+	return &Network{nodes: nodes, adj: adj}, nil
 }
 
 func canonicalEdge(a, b NodeID) [2]NodeID {
@@ -129,15 +132,20 @@ func (nw *Network) Nodes() []Node {
 }
 
 // Universe returns the universal channel set (union of all available sets).
-// The first read after a SetAvail recomputes the cached union, so the first
-// call must not race with other Network accesses; every engine resolves it
-// during single-threaded setup.
+// The first read after a SetAvail recomputes the cached union. Reads are
+// safe from several goroutines at once; like every Network accessor they
+// must not race with SetAvail.
 func (nw *Network) Universe() channel.Set {
-	if nw.universeStale {
-		nw.refreshUniverse()
-		nw.universeStale = false
+	u := nw.universe.Load()
+	if u == nil {
+		var union channel.Set
+		for _, node := range nw.nodes {
+			union = union.Union(node.Avail)
+		}
+		u = &union
+		nw.universe.Store(u)
 	}
-	return nw.universe.Clone()
+	return u.Clone()
 }
 
 // Avail returns A(u). The returned set shares storage with the network and
@@ -214,19 +222,11 @@ func (nw *Network) DropDirection(v, u NodeID) error {
 // Symmetric reports whether no direction has been dropped.
 func (nw *Network) Symmetric() bool { return len(nw.dropped) == 0 }
 
-// SetAvail replaces A(u) and refreshes the universal set. Channel assigners
-// use it during construction.
+// SetAvail replaces A(u) and marks the universal set for recomputation.
+// Channel assigners use it during construction.
 func (nw *Network) SetAvail(u NodeID, a channel.Set) {
 	nw.nodes[u].Avail = a.Clone()
-	nw.universeStale = true
-}
-
-func (nw *Network) refreshUniverse() {
-	var u channel.Set
-	for _, node := range nw.nodes {
-		u = u.Union(node.Avail)
-	}
-	nw.universe = u
+	nw.universe.Store(nil)
 }
 
 // DirectedLinks returns every directed link (u,v) whose transmissions can

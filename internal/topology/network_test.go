@@ -203,3 +203,34 @@ func TestNodesReturnsCopy(t *testing.T) {
 		t.Fatal("mutating Nodes() copy affected network")
 	}
 }
+
+// TestUniverseConcurrentReaders reads the lazily cached universe from
+// several goroutines on a freshly assigned network, the way trial workers
+// sharing one network do. The first reads race to refresh the cache; under
+// `go test -race` an unsynchronized cache fails here.
+func TestUniverseConcurrentReaders(t *testing.T) {
+	for round := 0; round < 4; round++ {
+		nw := mustLine(t, 64)
+		for u := 0; u < nw.N(); u++ {
+			nw.SetAvail(NodeID(u), channel.NewSet(channel.ID(u%5), channel.ID(70)))
+		}
+		want := channel.NewSet(0, 1, 2, 3, 4, 70)
+		const readers = 4
+		got := make([]channel.Set, readers)
+		done := make(chan struct{})
+		for i := 0; i < readers; i++ {
+			go func(i int) {
+				defer func() { done <- struct{}{} }()
+				got[i] = nw.Universe()
+			}(i)
+		}
+		for i := 0; i < readers; i++ {
+			<-done
+		}
+		for i, u := range got {
+			if !u.Equal(want) {
+				t.Fatalf("round %d reader %d: universe %v, want %v", round, i, u, want)
+			}
+		}
+	}
+}

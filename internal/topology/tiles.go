@@ -20,7 +20,7 @@ import (
 // partitions by coordinates. Whether every edge really stays within one
 // tile boundary is verified structurally when the candidate table is packed
 // into halo-local masks (NewTileMasks returns nil on any violation), so a
-// mis-sized tiling degrades to the single-threaded engine instead of
+// mis-sized tiling degrades to the engine's single tile instead of
 // corrupting results.
 //
 // Halo word space: each tile t owns a word-aligned segment per neighborhood
@@ -244,17 +244,20 @@ func (tl *Tiling) HaloNode(t, bit int) NodeID {
 // to its 3×3 neighborhood is what makes the table linear in n — the window
 // a row can span is bounded by the halo width, not the network width — and
 // is what the sharded engine intersects against its per-slot halo
-// transmitter masks.
+// transmitter masks. On a 1×1 tiling the halo space is the NodeID space,
+// so the same table serves the engine's single-tile resolver.
 //
 // Construction doubles as the exactness check for the tiling: a candidate
 // transmitter outside the listener's halo means interference crosses more
 // than one tile boundary (the tiling's cells are smaller than the radius),
-// and NewTileMasks returns nil so the engine falls back to the
-// single-threaded resolvers rather than miss the transmitter.
+// and NewTileMasks returns nil so the engine falls back to a single tile
+// rather than miss the transmitter.
 //
-// Like CandidateMasks, rows are indexed r = u·C + c and stored packed to
-// their populated word window [Lo(r), Lo(r)+rowLen). The table snapshots
-// the candidate table it was built from.
+// Rows are indexed r = u·C + c and stored packed to their populated word
+// window [Lo(r), Lo(r)+rowLen), so memory is proportional to candidate
+// locality, not N²·C. The table snapshots the candidate table it was built
+// from: later RestrictSpan / DropDirection / SetAvail calls are not
+// reflected.
 type TileMasks struct {
 	tl       *Tiling
 	channels int
@@ -266,9 +269,10 @@ type TileMasks struct {
 // NewTileMasks packs the candidate table into halo-local rows. channels is
 // the number of channel rows per listener (max channel ID + 1). budgetWords
 // caps the packed size; 0 means unbounded. nil is returned when the budget
-// is exceeded, when there is nothing to pack, or when any candidate lies
-// outside its listener's halo (the tiling is too fine for the network's
-// reach — fall back to the single-threaded engine).
+// is exceeded, when there are no nodes or no channels, or when any
+// candidate lies outside its listener's halo (the tiling is too fine for
+// the network's reach). A network without candidates packs to an empty
+// table: every row is empty.
 func NewTileMasks(tl *Tiling, cands [][]Candidate, channels, budgetWords int) *TileMasks {
 	n := len(cands)
 	if tl == nil || n == 0 || n != tl.n || channels <= 0 {
@@ -335,7 +339,7 @@ func NewTileMasks(tl *Tiling, cands [][]Candidate, channels, budgetWords int) *T
 		}
 		off[r+1] = int32(total)
 	}
-	if total == 0 || (budgetWords > 0 && total > budgetWords) {
+	if budgetWords > 0 && total > budgetWords {
 		return nil
 	}
 

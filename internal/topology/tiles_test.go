@@ -276,3 +276,165 @@ func trailingZeros64(w uint64) int {
 	}
 	return n
 }
+
+// TestCandidateMasksMatchCandidates pins the single-tile packing — a 1×1
+// tiling, whose halo space is the NodeID space — to the candidate table it
+// was packed from: bit v of every (listener, channel) row is set iff some
+// candidate with From v has the channel in its span. Abstract graphs
+// (no coordinates) tile too: every node lands in the one cell.
+func TestCandidateMasksMatchCandidates(t *testing.T) {
+	root := rng.New(31)
+	for trial := 0; trial < 60; trial++ {
+		r := root.Split()
+		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
+			n := r.IntN(40) + 2
+			universe := r.IntN(5) + 1
+			nw, err := ErdosRenyi(n, 0.3, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := AssignBernoulli(nw, universe, 0.7, r); err != nil {
+				t.Fatal(err)
+			}
+			if r.Bernoulli(0.4) {
+				if err := DropRandomDirections(nw, 0.4, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r.Bernoulli(0.3) && universe > 1 {
+				if err := RestrictSpansRandomly(nw, 1, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			cands := nw.InboundCandidates()
+			channels := 0
+			if id, ok := nw.Universe().Max(); ok {
+				channels = int(id) + 1
+			}
+			if channels == 0 {
+				t.Skip("no channels assigned")
+			}
+			m := NewTileMasks(singleTile(t, nw), cands, channels, 0)
+			if m == nil {
+				t.Fatal("unbudgeted build returned nil")
+			}
+			if m.Channels() != channels {
+				t.Fatalf("Channels() = %d, want %d", m.Channels(), channels)
+			}
+
+			for u := 0; u < n; u++ {
+				for c := 0; c < channels; c++ {
+					want := make(map[NodeID]bool)
+					for _, cand := range cands[u] {
+						if cand.Span.Contains(channel.ID(c)) {
+							want[cand.From] = true
+						}
+					}
+					row, lo := m.Row(NodeID(u), channel.ID(c))
+					got := make(map[NodeID]bool)
+					for wi, w := range row {
+						for b := 0; b < 64; b++ {
+							if w&(1<<uint(b)) != 0 {
+								got[NodeID((lo+wi)*64+b)] = true
+							}
+						}
+					}
+					if len(got) != len(want) {
+						t.Fatalf("listener %d channel %d: mask has %d transmitters, want %d", u, c, len(got), len(want))
+					}
+					for v := range want {
+						if !got[v] {
+							t.Fatalf("listener %d channel %d: transmitter %d missing from mask", u, c, v)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCandidateMasksBudget verifies the single tile's size gate: a budget
+// below the packed size rejects the build, at or above accepts it.
+func TestCandidateMasksBudget(t *testing.T) {
+	r := rng.New(5)
+	nw, err := ErdosRenyi(30, 0.5, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := AssignUniformK(nw, 4, 2, r); err != nil {
+		t.Fatal(err)
+	}
+	tl := singleTile(t, nw)
+	m := NewTileMasks(tl, nw.InboundCandidates(), 4, 0)
+	if m == nil || m.PackedWords() == 0 {
+		t.Fatal("expected a non-empty packed table")
+	}
+	if got := NewTileMasks(tl, nw.InboundCandidates(), 4, m.PackedWords()-1); got != nil {
+		t.Fatal("under-budget build should return nil")
+	}
+	if got := NewTileMasks(tl, nw.InboundCandidates(), 4, m.PackedWords()); got == nil {
+		t.Fatal("at-budget build should succeed")
+	}
+}
+
+// TestCandidateMasksRowWindows checks the single tile's packing is genuinely
+// windowed: a clique of two far-apart ID clusters must not store the dead
+// words between a listener's low and high neighbors unless both exist.
+func TestCandidateMasksRowWindows(t *testing.T) {
+	// Line topology 0-1-...-199: every row covers at most two neighbor IDs,
+	// so each packed row is at most 2 words even though the range is 4.
+	nw, err := Line(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := AssignHomogeneous(nw, 1); err != nil {
+		t.Fatal(err)
+	}
+	m := NewTileMasks(singleTile(t, nw), nw.InboundCandidates(), 1, 0)
+	if m == nil {
+		t.Fatal("build failed")
+	}
+	for u := 0; u < 200; u++ {
+		row, _ := m.Row(NodeID(u), 0)
+		if len(row) > 2 {
+			t.Fatalf("listener %d: row spans %d words; window not trimmed", u, len(row))
+		}
+	}
+	// 200 nodes × ≤2 words bounds the whole table well under 200×4.
+	if m.PackedWords() > 400 {
+		t.Fatalf("packed size %d exceeds the windowed bound", m.PackedWords())
+	}
+}
+
+// TestTileMasksEmptyTable pins the edgeless case: with channels but no
+// candidates the table packs to zero words, and every row is empty.
+func TestTileMasksEmptyTable(t *testing.T) {
+	nw, err := Grid(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Disjoint channel sets: no link has a common channel.
+	for u := 0; u < nw.N(); u++ {
+		nw.SetAvail(NodeID(u), channel.NewSet(channel.ID(u)))
+	}
+	m := NewTileMasks(singleTile(t, nw), nw.InboundCandidates(), nw.N(), 0)
+	if m == nil || m.PackedWords() != 0 {
+		t.Fatalf("edgeless table: %v", m)
+	}
+	for u := 0; u < nw.N(); u++ {
+		if row, _ := m.Row(NodeID(u), channel.ID(u)); len(row) != 0 {
+			t.Fatalf("listener %d: non-empty row %v", u, row)
+		}
+	}
+}
+
+// singleTile returns nw's 1×1 tiling or fails the test.
+func singleTile(t *testing.T, nw *Network) *Tiling {
+	t.Helper()
+	tl, err := NewTiling(nw, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
+}
