@@ -36,12 +36,15 @@ test-race:
 	$(GO) test -race ./...
 
 # Everything the GitHub Actions pipeline runs, locally and in order. The
-# test pass shuffles execution order, the bench smoke compiles and runs each
-# fast-package benchmark once so harness breakage surfaces before merge, and
-# the bench gate compares a fresh throughput snapshot against the committed
-# BENCH_3.json via cmd/ndstat.
+# test pass shuffles execution order, the perfbench module's own tests
+# (committed digests, spec/catalog agreement) run from its separate go.mod,
+# the bench smoke compiles and runs each fast-package benchmark once so
+# harness breakage surfaces before merge, and the bench gate compares a
+# fresh throughput snapshot against the committed BENCH_3.json via
+# cmd/ndstat.
 ci: build vet fmt-check lint
 	$(GO) test -shuffle=on ./...
+	$(GO) -C perfbench test ./...
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/sim/... ./internal/harness/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/...
 	$(GO) test -race ./internal/harness/... ./internal/experiment/... ./internal/trace/... ./internal/sim/... ./internal/telemetry/... ./internal/dynamics/... ./internal/diag/...
 	$(MAKE) bench-gate
@@ -57,7 +60,7 @@ bench-gate:
 
 # One full pass of every reproduction benchmark (one iteration each), then
 # the engine throughput snapshot: cmd/ndperf rewrites BENCH_3.json with
-# ns/slot, allocation and delivery-throughput figures for all three engines.
+# ns/slot, allocation and delivery-throughput figures for both engines.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...
 	$(GO) run ./cmd/ndperf -out BENCH_3.json

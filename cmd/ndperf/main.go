@@ -2,7 +2,7 @@
 // scenarios (the geometric networks of internal/sim's benchmarks) and
 // writes a machine-readable snapshot to BENCH_3.json: ns per operation, ns
 // per resolved slot, allocations, and delivery throughput for the
-// synchronous and both asynchronous engines, plus steady-state rows that
+// synchronous and asynchronous engines, plus steady-state rows that
 // reuse one sim scratch across runs (the trial-loop configuration),
 // large-n rows (200-node sync, 100-node async), and dynamic rows that run
 // the same large-n scenarios on a churn / mobility world so the epoch
@@ -13,8 +13,8 @@
 // committed snapshot; CI runs it as a smoke and uploads the artifact, so a
 // hot-path regression shows up as a diff instead of an anecdote.
 //
-// The workloads mirror BenchmarkRunSync / BenchmarkRunAsync /
-// BenchmarkRunAsyncOnline and their Scratch / large-n variants exactly
+// The workloads mirror BenchmarkRunSync / BenchmarkRunAsync and their
+// Scratch / large-n variants exactly
 // (same topology seeds, protocol seeds, and horizons) with one addition: a
 // counting observer tallies deliveries so throughput can be reported per
 // second of engine time.
@@ -173,15 +173,14 @@ func run(out, metricsPath, diagAddr, cpuProf, memProf string) (retErr error) {
 	}
 	rows := []benchRow{
 		benchSync("RunSync", nw, params.Delta, 2000, nil, nil, nil, agg),
-		benchAsync("RunAsync", sim.RunAsync, nw, params.Delta, 800, nil, nil, agg),
-		benchAsync("RunAsyncOnline", sim.RunAsyncOnline, nw, params.Delta, 800, nil, nil, agg),
+		benchAsync("RunAsync", nw, params.Delta, 800, nil, nil, agg),
 		// Steady state: one scratch reused across runs, the per-worker trial
 		// loop configuration. The gap to the rows above is the reuse saving.
 		benchSync("RunSyncScratch", nw, params.Delta, 2000, sim.NewSyncScratch(), nil, nil, agg),
-		benchAsync("RunAsyncScratch", sim.RunAsync, nw, params.Delta, 800, recycling(), nil, agg),
+		benchAsync("RunAsyncScratch", nw, params.Delta, 800, recycling(), nil, agg),
 		// Large-n regime (shorter horizons keep wall time comparable).
 		benchSync("RunSyncN200", nw200, nw200.ComputeParams().Delta, 500, sim.NewSyncScratch(), nil, nil, nil),
-		benchAsync("RunAsyncN100", sim.RunAsync, nw100, nw100.ComputeParams().Delta, 200, recycling(), nil, nil),
+		benchAsync("RunAsyncN100", nw100, nw100.ComputeParams().Delta, 200, recycling(), nil, nil),
 		// Very-large-n regime: the streamed-CSR 100k scenario on the tiled
 		// parallel resolver. A short horizon keeps the row ~1s/op; deltaEst
 		// is fixed (ComputeParams at 100k would dominate setup).
@@ -190,7 +189,7 @@ func run(out, metricsPath, diagAddr, cpuProf, memProf string) (retErr error) {
 		// The gap to the static rows above is the dynamics overhead (epoch
 		// snapshots, activity gating, growable coverage).
 		benchSync("RunSyncChurn", nw200, nw200.ComputeParams().Delta, 500, sim.NewSyncScratch(), nil, churnWorld, nil),
-		benchAsync("RunAsyncMobility", sim.RunAsync, nw100, nw100.ComputeParams().Delta, 200, recycling(), mobilityWorld, nil),
+		benchAsync("RunAsyncMobility", nw100, nw100.ComputeParams().Delta, 200, recycling(), mobilityWorld, nil),
 	}
 	rows = append(rows, benchKernels()...)
 	doc := snapshot{
@@ -320,7 +319,7 @@ func benchSync(name string, nw *topology.Network, deltaEst, maxSlots int, scratc
 	return row(name, res, deliveries, float64(slots)/float64(res.N))
 }
 
-func benchAsync(name string, engine func(sim.AsyncConfig) (*sim.AsyncResult, error), nw *topology.Network, deltaEst, maxFrames int, scratch *sim.AsyncScratch, world func() *dynamics.World, agg *telemetry.Aggregate) benchRow {
+func benchAsync(name string, nw *topology.Network, deltaEst, maxFrames int, scratch *sim.AsyncScratch, world func() *dynamics.World, agg *telemetry.Aggregate) benchRow {
 	const (
 		frameLen      = 3.0
 		slotsPerFrame = 3
@@ -357,7 +356,7 @@ func benchAsync(name string, engine func(sim.AsyncConfig) (*sim.AsyncResult, err
 			if world != nil {
 				cfg.Dynamics = world()
 			}
-			if _, err := engine(cfg); err != nil {
+			if _, err := sim.RunAsync(cfg); err != nil {
 				b.Fatal(err)
 			}
 			if agg != nil {

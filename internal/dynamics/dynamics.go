@@ -37,7 +37,7 @@ import (
 type Spec struct {
 	// EpochLen is the epoch length in the driving engine's native time
 	// unit: slots for the synchronous engine (where it must be a positive
-	// integer), real-time units for the asynchronous engines. Required > 0.
+	// integer), real-time units for the asynchronous engine. Required > 0.
 	EpochLen float64
 	// Churn, if non-nil, activates node join/leave schedules.
 	Churn *Churn
@@ -361,7 +361,7 @@ func (w *World) EpochSlots() (int, error) {
 }
 
 // EpochOf maps a real time to its epoch index, clamped to the scheduled
-// horizon. The asynchronous engines sample topology with it at each
+// horizon. The asynchronous engine samples topology with it at each
 // listening frame's start.
 func (w *World) EpochOf(t float64) int {
 	if t <= 0 {

@@ -58,9 +58,8 @@ func (f observerFunc) OnEvent(e sim.Event) { f(e) }
 type reenterObserver struct{}
 
 func (reenterObserver) OnEvent(e sim.Event) {
-	_, _ = sim.RunSync(sim.SyncConfig{})        // want "RunSync re-enters the engine from inside a callback"
-	_, _ = sim.RunAsync(sim.SyncConfig{})       // want "RunAsync re-enters the engine from inside a callback"
-	_, _ = sim.RunAsyncOnline(sim.SyncConfig{}) // want "RunAsyncOnline re-enters the engine from inside a callback"
+	_, _ = sim.RunSync(sim.SyncConfig{})  // want "RunSync re-enters the engine from inside a callback"
+	_, _ = sim.RunAsync(sim.SyncConfig{}) // want "RunAsync re-enters the engine from inside a callback"
 }
 
 // badProtocol retains msg.Heard from Deliver.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"m2hew/internal/channel"
 	"m2hew/internal/clock"
@@ -52,21 +51,18 @@ type AsyncConfig struct {
 	// Loss, if non-nil, erases arriving transmission slots per receiver
 	// listening frame with the model's probability (unreliable channels).
 	Loss *LossModel
-	// Observer, if non-nil, receives an EventFrameStart for every frame,
-	// an EventFrameResolve for every listening frame, and an EventDeliver
-	// for every clear reception. Emission order differs between engines:
-	// RunAsync emits frame events node-major during its resolution pass
-	// (ascending node, then frame index) and all deliveries afterwards in
-	// chronological order; RunAsyncOnline emits events grouped per frame
-	// in global frame-end order — EventFrameStart, that frame's
-	// deliveries, then EventFrameResolve. Compose several consumers with
-	// MultiObserver.
+	// Observer, if non-nil, receives events grouped per frame in global
+	// frame-end order, equal ends in ascending NodeID: EventFrameStart,
+	// that frame's EventDeliver events, then — for listening frames —
+	// EventFrameResolve. Dynamic runs emit each epoch's EventEpoch, join,
+	// leave and channel-loss events before the first frame ending in that
+	// epoch. Compose several consumers with MultiObserver.
 	Observer Observer
 	// Scratch, if non-nil, supplies reusable per-run state — frame tables,
-	// resolver buffers, delivery list, optionally pooled timelines — so
-	// repeated runs on one goroutine stop re-allocating it (see
-	// AsyncScratch for the ownership and network-mutation contract). Nil
-	// means the run allocates a private scratch; results are identical
+	// the frame queue, resolver buffers, optionally pooled timelines and
+	// drift memos — so repeated runs on one goroutine stop re-allocating it
+	// (see AsyncScratch for the ownership and network-mutation contract).
+	// Nil means the run allocates a private scratch; results are identical
 	// either way.
 	Scratch *AsyncScratch
 	// Stepper optionally overrides where frame decisions come from. Nil —
@@ -83,8 +79,7 @@ type AsyncConfig struct {
 	// but an inactive node appears in no epoch's candidate table, so it
 	// neither delivers nor receives while out of the network. The coverage
 	// target grows with each epoch's link set (births at the epoch start
-	// time). RunAsync resolves node-major and emits no dynamics events;
-	// RunAsyncOnline processes chronologically and does.
+	// time) through the epoch holding the run's last frame end.
 	Dynamics *dynamics.World
 }
 
@@ -151,19 +146,26 @@ func (c *AsyncConfig) validate() error {
 
 // RunAsync executes an asynchronous simulation.
 //
-// Frame decisions are pulled incrementally through the stepper seam: a
-// node's next frame is generated when the resolution pass first needs it —
-// either because the pass reached the frame itself, or because the frame
-// might overlap a neighbor's listening frame under resolution. Each node's
-// decisions are still pulled in ascending frame order from its own private
-// rng stream, so the cross-node interleaving (which differs from the old
-// generate-everything-first pass) is invisible in results; every node ends
-// the run having generated exactly MaxFrames decisions. Resolution walks
-// frames node-major; deliveries are applied in chronological order
-// afterwards, so protocols see messages only after all decisions are made —
-// behaviorally equivalent for oblivious protocols, which is why the
-// differential tests can pin this engine to RunAsyncOnline and to
-// pre-generated replays. Adaptive protocols need RunAsyncOnline.
+// Frames resolve in global frame-end order, and every clear message is
+// delivered to its receiver's protocol before that protocol makes its next
+// frame decision, so adaptive protocols — the termination wrapper
+// core.AsyncTerminating, for one — run as they would on real radios.
+// Decisions are pulled through the stepper seam one frame ahead of
+// resolution, each node's in ascending frame order from its own private rng
+// stream, so every node ends the run having generated exactly MaxFrames
+// decisions.
+//
+// The frame queue is a binary min-heap of node ids keyed by (end of the
+// node's oldest unresolved frame, NodeID): O(log n) per frame, and equal
+// frame ends resolve in ascending NodeID. Scheduling invariant: when the
+// earliest unresolved frame end belongs to node u, every node still within
+// its budget has generated a frame ending at or after that instant, and
+// frames never skip time, so every transmission overlapping u's frame is
+// known and the resolver can run; a node past its budget transmits no more.
+// Receptions are delivered at the receiving frame's end — the decode point
+// is the slot end, but the protocol can act on it only at its next frame
+// boundary, so delivering at frame end is behaviourally identical and keeps
+// per-node delivery order deterministic.
 //
 //nd:hotpath
 func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
@@ -186,14 +188,12 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		st = asyncStepper{nodes: cfg.Nodes}
 	}
 
-	// Phase 1: clocks. Timelines and drift memos are pre-sized to the slot
-	// budget so the lazy boundary/rate caches grow once instead of doubling
-	// their way up (values are unchanged — only capacity moves). Drift
-	// draws still happen lazily, in ascending slot order per node's own
-	// drift rng, exactly as they did when frames were generated eagerly.
+	// Clocks. Timelines and drift memos are pre-sized to the slot budget so
+	// the lazy boundary/rate caches grow once instead of doubling their way
+	// up (values are unchanged — only capacity moves). Drift draws happen
+	// lazily, in ascending slot order per node's own drift rng.
 	slotBudget := cfg.MaxFrames * slotsPerFrame
 	timelines := sc.timelineSlice(n)
-	frames := sc.frameTables(n, cfg.MaxFrames, 0) // appended to as frames generate
 	ts := 0.0
 	for u := 0; u < n; u++ {
 		nc := cfg.Nodes[u]
@@ -216,77 +216,109 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		timelines[u] = tl
 	}
 
-	// Phase 2: resolve receptions, generating frames on demand. gen appends
-	// node v's next frame (frameTables reserved MaxFrames capacity per
-	// node, so appends never reallocate); before a listening frame
-	// resolves, every candidate transmitter is generated out to the frame's
-	// end, which is exactly the coverage collectSlots needs.
+	frames := sc.frameTables(n, cfg.MaxFrames) // appended to as frames generate
 	cands, msgAvail := sc.networkTables(nw)
 	env := sc.envFor(nw, cands, frames, timelines, slotsPerFrame, cfg.Loss)
-	env.world = cfg.Dynamics
-	deliveries := sc.deliveryBuf()
-	maxEnd := 0.0
-	for u := 0; u < n; u++ {
-		uid := topology.NodeID(u)
-		for f := 0; f < cfg.MaxFrames; f++ {
-			if len(env.frames[u]) <= f {
-				if err := env.generate(u, st); err != nil {
-					return nil, err
-				}
-			}
-			g := env.frames[u][f]
-			if g.end > maxEnd {
-				maxEnd = g.end
-			}
-			if cfg.Observer != nil {
-				cfg.Observer.OnEvent(Event{
-					Kind: EventFrameStart, Time: g.start, Slot: f,
-					Node: uid, Action: g.action,
-				})
-			}
-			if g.action.Mode == radio.Receive {
-				for _, cand := range env.candsFor(uid, g) {
-					w := int(cand.From)
-					for len(env.frames[w]) < cfg.MaxFrames {
-						if last := len(env.frames[w]); last > 0 && env.frames[w][last-1].end >= g.end {
-							break
-						}
-						if err := env.generate(w, st); err != nil {
-							return nil, err
-						}
-					}
-				}
-			}
-			ds := env.resolveFrame(uid, g)
-			deliveries = append(deliveries, ds...)
-			if cfg.Observer != nil && g.action.Mode == radio.Receive {
-				cfg.Observer.OnEvent(Event{
-					Kind: EventFrameResolve, Time: g.end, Slot: f,
-					Node: uid, Action: g.action,
-					Collected: env.lastCollected, Delivered: len(ds),
-				})
+	world := cfg.Dynamics
+	env.world = world
+
+	// Dynamic runs start the coverage target at epoch 0's links and grow it
+	// as the pass crosses epoch boundaries (announceEpoch), so every
+	// delivery finds its link already targeted: a delivered link existed in
+	// the epoch of its listening frame's start, which the pass reaches
+	// before that frame resolves. Frame ends come from the clocks alone, so
+	// the last epoch the pass reaches — the one holding the latest final
+	// frame end — is known up front and bounds the link universe.
+	var coverage *metrics.Coverage
+	if world == nil {
+		coverage = metrics.NewCoverage(nw.DiscoverableLinks())
+	} else {
+		lastEnd := 0.0
+		for _, tl := range timelines {
+			if _, end := tl.FrameInterval(cfg.MaxFrames - 1); end > lastEnd {
+				lastEnd = end
 			}
 		}
+		coverage = metrics.NewCoverageWithin(world.Links(world.EpochOf(lastEnd)))
+		announceEpoch(world, 0, coverage, cfg.Observer)
+	}
+	nextEpoch := 1
+
+	// Prime every node with its first frame (MaxFrames is positive) and
+	// heap-order the queue.
+	queue := sc.frameQueue(n)
+	for u := 0; u < n; u++ {
+		if err := env.generate(u, st); err != nil {
+			return nil, err
+		}
+		queue[u] = frameKey{end: env.frames[u][0].end, node: int32(u)}
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(queue, i)
 	}
 
-	slices.SortFunc(deliveries, cmpDelivery)
+	for len(queue) > 0 {
+		u := int(queue[0].node)
+		uid := topology.NodeID(u)
+		f := len(env.frames[u]) - 1 // the oldest unresolved frame is the newest generated
+		g := env.frames[u][f]
 
-	sc.deliveries = deliveries[:0] // keep any capacity the run grew
-
-	coverage := asyncCoverage(nw, cfg.Dynamics, maxEnd)
-	for _, d := range deliveries {
-		msg := radio.Message{From: d.from, Avail: msgAvail[d.from]}
-		if hr, ok := cfg.Nodes[d.from].Protocol.(HeardReporter); ok {
-			msg.Heard = copyHeard(hr.Heard())
+		// Cross epoch boundaries up to this frame's end before resolving
+		// it: frame ends pop in ascending order, so the advance is
+		// monotone, and any link this frame delivers on was born in an
+		// epoch at or before the one containing its start.
+		if world != nil {
+			for target := world.EpochOf(g.end); nextEpoch <= target; nextEpoch++ {
+				announceEpoch(world, nextEpoch, coverage, cfg.Observer)
+			}
 		}
-		cfg.Nodes[d.to].Protocol.Deliver(msg)
-		coverage.Observe(topology.Link{From: d.from, To: d.to}, d.at)
+
+		// Events for this frame are emitted at its resolution point (the
+		// frame's end); EventFrameStart still carries the frame's real
+		// start time.
 		if cfg.Observer != nil {
 			cfg.Observer.OnEvent(Event{
-				Kind: EventDeliver, Time: d.at,
-				From: d.from, To: d.to, Channel: d.ch,
+				Kind: EventFrameStart, Time: g.start, Slot: f,
+				Node: uid, Action: g.action,
 			})
 		}
+		ds := env.resolveFrame(uid, g)
+		for _, d := range ds {
+			msg := radio.Message{From: d.from, Avail: msgAvail[d.from]}
+			if hr, ok := cfg.Nodes[d.from].Protocol.(HeardReporter); ok {
+				msg.Heard = copyHeard(hr.Heard())
+			}
+			cfg.Nodes[d.to].Protocol.Deliver(msg)
+			coverage.Observe(topology.Link{From: d.from, To: d.to}, d.at)
+			if cfg.Observer != nil {
+				cfg.Observer.OnEvent(Event{
+					Kind: EventDeliver, Time: d.at,
+					From: d.from, To: d.to, Channel: d.ch,
+				})
+			}
+		}
+		if cfg.Observer != nil && g.action.Mode == radio.Receive {
+			cfg.Observer.OnEvent(Event{
+				Kind: EventFrameResolve, Time: g.end, Slot: f,
+				Node: uid, Action: g.action,
+				Collected: env.lastCollected, Delivered: len(ds),
+			})
+		}
+
+		// Generate u's next frame — its protocol has now seen everything it
+		// could have heard — and re-key u; a node at its budget leaves the
+		// queue.
+		if f+1 < cfg.MaxFrames {
+			if err := env.generate(u, st); err != nil {
+				return nil, err
+			}
+			queue[0].end = env.frames[u][f+1].end
+		} else {
+			last := len(queue) - 1
+			queue[0] = queue[last]
+			queue = queue[:last]
+		}
+		siftDown(queue, 0)
 	}
 
 	if sc.RecycleTimelines {
@@ -307,36 +339,53 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	return result, nil
 }
 
-// cmpDelivery orders deliveries chronologically, ties broken by receiver
-// then sender. Distinct deliveries never compare equal — a sender delivers
-// at most once per receiver frame and its slot end times are distinct — so
-// the unstable sort is deterministic (the asynchronous engines' byte-for-
-// byte reproducibility rests on this). A named comparator keeps the sort
-// closure-free on the hot path.
-func cmpDelivery(a, b delivery) int {
-	switch {
-	case a.at < b.at:
-		return -1
-	case a.at > b.at:
-		return 1
-	case a.to < b.to:
-		return -1
-	case a.to > b.to:
-		return 1
-	case a.from < b.from:
-		return -1
-	case a.from > b.from:
-		return 1
-	default:
-		return 0
+// frameKey is one node's entry in RunAsync's frame queue: the end time of
+// its oldest unresolved frame.
+type frameKey struct {
+	end  float64
+	node int32
+}
+
+// before orders queue entries by frame end, equal ends by ascending node.
+// No two entries tie, since each node holds one entry.
+func (a frameKey) before(b frameKey) bool {
+	return a.end < b.end || (a.end == b.end && a.node < b.node)
+}
+
+// siftDown restores the min-heap order of q after the entry at i was
+// re-keyed later or replaced. It walks the hole at i down to a leaf along
+// the earlier child, then sifts the entry up from there: a re-keyed frame
+// end is usually among the latest in the queue, so it settles near the
+// leaves, and the walk costs one comparison per level instead of two.
+//
+//nd:hotpath
+func siftDown(q []frameKey, i int) {
+	if i >= len(q) {
+		return // the last node just left the queue
 	}
+	x, top := q[i], i
+	for c := 2*i + 1; c < len(q); c = 2*i + 1 {
+		if r := c + 1; r < len(q) && q[r].before(q[c]) {
+			c = r
+		}
+		q[i] = q[c]
+		i = c
+	}
+	for i > top {
+		p := (i - 1) / 2
+		if !x.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
 }
 
 // generate pulls node v's next frame decision from the stepper, validates
 // it, and appends the frame to the env's tables (capacity was reserved for
-// the whole budget, so appends never reallocate). Both asynchronous engines
-// generate exclusively through it, always in ascending frame order per
-// node.
+// the whole budget, so appends never reallocate). The engine generates
+// exclusively through it, always in ascending frame order per node.
 //
 //nd:hotpath
 func (env *asyncEnv) generate(v int, st Stepper) error {
@@ -350,25 +399,27 @@ func (env *asyncEnv) generate(v int, st Stepper) error {
 	return nil
 }
 
-// asyncCoverage builds an asynchronous run's coverage target: the static
-// network's discoverable links, or — for dynamic runs, inside the world's
-// link universe through the same epoch — the union of epoch link sets
-// through the epoch containing horizon (a real time), each link born at the
-// start time of its first epoch.
-func asyncCoverage(nw *topology.Network, world *dynamics.World, horizon float64) *metrics.Coverage {
-	if world == nil {
-		return metrics.NewCoverage(nw.DiscoverableLinks())
-	}
-	last := world.EpochOf(horizon)
-	coverage := metrics.NewCoverageWithin(world.Links(last))
-	for e := 0; e <= last; e++ {
-		ep := world.At(e)
-		birth := float64(e) * world.EpochLen()
-		for _, l := range ep.Links {
-			coverage.AddTarget(l, birth)
+// announceEpoch reports epoch e of a dynamic run: its boundary, join, leave
+// and channel-loss events go to obs (if non-nil), and its links join the
+// coverage target, born at the epoch's start time.
+func announceEpoch(world *dynamics.World, e int, coverage *metrics.Coverage, obs Observer) {
+	ep := world.At(e)
+	at := float64(e) * world.EpochLen()
+	if obs != nil {
+		obs.OnEvent(Event{Kind: EventEpoch, Time: at, Epoch: e})
+		for _, v := range ep.Joined {
+			obs.OnEvent(Event{Kind: EventJoin, Time: at, Node: v, Epoch: e})
+		}
+		for _, v := range ep.Left {
+			obs.OnEvent(Event{Kind: EventLeave, Time: at, Node: v, Epoch: e})
+		}
+		for _, l := range ep.Losses {
+			obs.OnEvent(Event{Kind: EventChannelLoss, Time: at, Node: l.Node, Channel: l.Channel, Epoch: e})
 		}
 	}
-	return coverage
+	for _, l := range ep.Links {
+		coverage.AddTarget(l, at)
+	}
 }
 
 // sharedMsgAvail clones each node's available set once per run; every

@@ -32,64 +32,47 @@ func buildAsyncNodes(t *testing.T, nw *topology.Network, deltaEst int, seed uint
 	return nodes
 }
 
-// TestOnlineOfflineEquivalence is the differential test between the two
-// asynchronous engines: for the paper's oblivious protocols they must agree
-// on every link's first coverage time.
+// TestOnlineOfflineEquivalence pins the engine's delivery-as-you-go run
+// of the paper's oblivious protocol to the brute-force reference resolver
+// replaying the same decisions and clocks: every link's first coverage
+// time must agree.
 func TestOnlineOfflineEquivalence(t *testing.T) {
-	build := func() (*topology.Network, error) {
-		nw, err := topology.Ring(6)
-		if err != nil {
-			return nil, err
-		}
-		return nw, topology.AssignBlockOverlap(nw, 2, 1)
-	}
-	nwA, err := build()
+	nw, err := topology.Ring(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nwB, err := build()
+	if err := topology.AssignBlockOverlap(nw, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	const maxFrames = 2500
+	res, err := RunAsync(AsyncConfig{
+		Network:   nw,
+		Nodes:     buildAsyncNodes(t, nw, 2, 777),
+		FrameLen:  3,
+		MaxFrames: maxFrames,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkCfg := func(nw *topology.Network) AsyncConfig {
-		return AsyncConfig{
-			Network:   nw,
-			Nodes:     buildAsyncNodes(t, nw, 2, 777),
-			FrameLen:  3,
-			MaxFrames: 2500,
-		}
-	}
-	offline, err := RunAsync(mkCfg(nwA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	online, err := RunAsyncOnline(mkCfg(nwB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if offline.Complete != online.Complete {
-		t.Fatalf("completion disagrees: offline %v online %v", offline.Complete, online.Complete)
-	}
-	if !offline.Complete {
+	if !res.Complete {
 		t.Fatal("scenario did not complete; equivalence test vacuous")
 	}
-	for _, l := range nwA.DiscoverableLinks() {
-		a, okA := offline.Coverage.FirstCovered(l)
-		b, okB := online.Coverage.FirstCovered(l)
-		if okA != okB {
-			t.Fatalf("link %v covered in one engine only", l)
-		}
-		if math.Abs(a-b) > 1e-9 {
-			t.Fatalf("link %v covered at %v offline vs %v online", l, a, b)
-		}
+	// A twin built from the same seed replays the engine's decisions and
+	// clocks for the reference.
+	want := referenceForNodes(t, nw, nil, buildAsyncNodes(t, nw, 2, 777), 3, 3, maxFrames)
+	coverageMatchesReference(t, "engine vs reference", res.Coverage, want)
+	last := 0.0
+	for _, l := range nw.DiscoverableLinks() {
+		at, _ := res.Coverage.FirstCovered(l)
+		last = max(last, at)
 	}
-	if math.Abs(offline.CompletionTime-online.CompletionTime) > 1e-9 {
-		t.Fatalf("completion times differ: %v vs %v", offline.CompletionTime, online.CompletionTime)
+	if res.CompletionTime != last {
+		t.Fatalf("completion time %v, last first coverage %v", res.CompletionTime, last)
 	}
 }
 
 func TestOnlineValidation(t *testing.T) {
-	if _, err := RunAsyncOnline(AsyncConfig{}); err == nil {
+	if _, err := RunAsync(AsyncConfig{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 }
@@ -98,7 +81,7 @@ func TestOnlineScriptedReception(t *testing.T) {
 	nw := pairNet(t, channel.NewSet(0), channel.NewSet(0))
 	sender := &scriptAsync{actions: []radio.Action{tx(0)}}
 	receiver := &scriptAsync{actions: []radio.Action{rx(0)}}
-	res, err := RunAsyncOnline(AsyncConfig{
+	res, err := RunAsync(AsyncConfig{
 		Network:   nw,
 		Nodes:     []AsyncNode{{Protocol: sender}, {Protocol: receiver}},
 		FrameLen:  3,
@@ -117,8 +100,8 @@ func TestOnlineScriptedReception(t *testing.T) {
 }
 
 // adaptiveProbe flips to permanent quiet the moment it has received any
-// message — behaviour that the pre-generating engine cannot honour but the
-// online engine must.
+// message — behaviour a pre-generated schedule cannot honour but the
+// engine, delivering before each next decision, must.
 type adaptiveProbe struct {
 	heard     bool
 	txFrames  int
@@ -142,7 +125,7 @@ func TestOnlineDeliversBeforeNextDecision(t *testing.T) {
 	nw := pairNet(t, channel.NewSet(0), channel.NewSet(0))
 	sender := &adaptiveProbe{transmits: true}
 	listener := &adaptiveProbe{}
-	_, err := RunAsyncOnline(AsyncConfig{
+	_, err := RunAsync(AsyncConfig{
 		Network:   nw,
 		Nodes:     []AsyncNode{{Protocol: sender}, {Protocol: listener}},
 		FrameLen:  3,
@@ -167,7 +150,7 @@ func TestOnlineDeliversBeforeNextDecision(t *testing.T) {
 }
 
 // echoProbe listens until it hears something, then transmits forever. Used
-// to verify the online engine feeds deliveries back into behaviour.
+// to verify the engine feeds deliveries back into behaviour.
 type echoProbe struct {
 	heard    bool
 	txFrames int
@@ -192,7 +175,7 @@ func TestOnlineAdaptiveEcho(t *testing.T) {
 	// online delivery.
 	starter := &scriptAsync{actions: []radio.Action{tx(0), tx(0), rx(0)}}
 	echo := &echoProbe{}
-	res, err := RunAsyncOnline(AsyncConfig{
+	res, err := RunAsync(AsyncConfig{
 		Network:   nw,
 		Nodes:     []AsyncNode{{Protocol: starter}, {Protocol: echo}},
 		FrameLen:  3,
@@ -235,7 +218,7 @@ func TestOnlineWithTerminatingWrapper(t *testing.T) {
 		wrappers[u] = wrapped
 		nodes[u] = AsyncNode{Protocol: wrapped}
 	}
-	res, err := RunAsyncOnline(AsyncConfig{
+	res, err := RunAsync(AsyncConfig{
 		Network:   nw,
 		Nodes:     nodes,
 		FrameLen:  3,
@@ -262,7 +245,7 @@ func TestOnlineWithTerminatingWrapper(t *testing.T) {
 
 // chaosProtocol behaves adaptively and erratically: its per-frame choice
 // depends on how many messages it has heard so far. It exists to stress the
-// online engine's scheduling invariant with behaviour the paper's protocols
+// engine's scheduling invariant with behaviour the paper's protocols
 // never exhibit.
 type chaosProtocol struct {
 	avail  channel.Set
@@ -298,7 +281,7 @@ func (p *chaosProtocol) Deliver(radio.Message) { p.heard++ }
 
 func TestOnlineEngineAdaptiveChaos(t *testing.T) {
 	// Random networks × random adaptive protocols × drifting clocks: the
-	// online engine must never panic, deliveries must be causally ordered
+	// engine must never panic, deliveries must be causally ordered
 	// per receiver, and every node must be driven for exactly MaxFrames.
 	root := rng.New(987654)
 	for trial := 0; trial < 25; trial++ {
@@ -324,7 +307,7 @@ func TestOnlineEngineAdaptiveChaos(t *testing.T) {
 			nodes[u] = AsyncNode{Protocol: p, Start: r.Float64() * 9, Drift: drift}
 		}
 		var lastAt float64
-		res, err := RunAsyncOnline(AsyncConfig{
+		res, err := RunAsync(AsyncConfig{
 			Network:   nw,
 			Nodes:     nodes,
 			FrameLen:  2.5,

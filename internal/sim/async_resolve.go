@@ -36,10 +36,7 @@ type idxSlot struct {
 // asyncEnv bundles the state the frame-reception resolver reads, plus the
 // scratch buffers it reuses across frames (an env belongs to one run on one
 // goroutine; resolveFrame is called once per listening frame, so per-frame
-// allocations would dominate the engine's allocation profile). Both the
-// pre-generating engine (RunAsync) and the online engine (RunAsyncOnline)
-// resolve receptions through it, so the two implementations share the exact
-// reception semantics and can be differentially tested against each other.
+// allocations would dominate the engine's allocation profile).
 type asyncEnv struct {
 	nw            *topology.Network
 	cands         [][]topology.Candidate // per listener: decodable transmitters
@@ -59,7 +56,7 @@ type asyncEnv struct {
 
 	// lastCollected is the number of candidate transmission slots the most
 	// recent resolveFrame call collected (0 for non-listening frames) —
-	// the engines' EventFrameResolve accounting.
+	// the engine's EventFrameResolve accounting.
 	lastCollected int
 }
 
@@ -99,10 +96,9 @@ func (env *asyncEnv) candsFor(uid topology.NodeID, g asyncFrame) []topology.Cand
 // differential tests pin the two to identical output, including loss-model
 // draw order (all draws happen during collection, in the same order).
 //
-// Frames of neighbors must cover the real-time extent of g; the caller
-// guarantees this (RunAsync generates everything up front, RunAsyncOnline
-// maintains it as a scheduling invariant). The returned slice is owned by
-// the env and is invalidated by the next resolveFrame call.
+// Frames of neighbors must cover the real-time extent of g; RunAsync
+// maintains this as its scheduling invariant. The returned slice is owned
+// by the env and is invalidated by the next resolveFrame call.
 //
 //nd:hotpath
 func (env *asyncEnv) resolveFrame(uid topology.NodeID, g asyncFrame) []delivery {
@@ -210,9 +206,8 @@ func (env *asyncEnv) collectSlots(uid topology.NodeID, g asyncFrame) []txSlot {
 // It gallops out from hint in doubling steps, then bisects the bracketed
 // range, so an answer d frames from the hint costs O(log d) probes. The
 // result is exact for any hint, including negative or past-the-end ones.
-// Listeners resolve their frames in ascending order in RunAsync, and all
-// frames resolve in global frame-end order in RunAsyncOnline, so a sender's
-// next answer is almost always within a frame or two of its previous one.
+// RunAsync resolves frames in global frame-end order, so a sender's next
+// answer is almost always within a frame or two of its previous one.
 //
 //nd:hotpath
 func frameLowerBound(fr []asyncFrame, hint int, x float64) int {

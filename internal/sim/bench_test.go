@@ -96,24 +96,6 @@ func BenchmarkRunAsync(b *testing.B) {
 	}
 }
 
-func BenchmarkRunAsyncOnline(b *testing.B) {
-	nw := benchNetwork(b)
-	params := nw.ComputeParams()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := RunAsyncOnline(AsyncConfig{
-			Network:   nw,
-			Nodes:     benchAsyncNodes(b, nw, params.Delta, uint64(i)+1),
-			FrameLen:  3,
-			MaxFrames: 800,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = res
-	}
-}
-
 // BenchmarkRunSyncScratch is BenchmarkRunSync at steady state: one scratch
 // reused across iterations, so per-run buffers and the network-keyed tables
 // amortize away. The gap to BenchmarkRunSync is the trial-loop saving.
@@ -247,6 +229,28 @@ func BenchmarkRunAsyncN100(b *testing.B) {
 			Nodes:     benchAsyncNodes(b, nw, params.Delta, uint64(i)+1),
 			FrameLen:  3,
 			MaxFrames: 200,
+			Scratch:   scratch,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunAsyncN2000 runs the asynchronous engine at n=2000 (mean
+// degree ~22), where popping the next frame off the frame queue — O(log n)
+// per frame — and the chronological pass's per-node working set matter.
+func BenchmarkRunAsyncN2000(b *testing.B) {
+	nw := benchNetworkN(b, 2000, 0.06)
+	params := nw.ComputeParams()
+	scratch := NewAsyncScratch()
+	scratch.RecycleTimelines = true
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunAsync(AsyncConfig{
+			Network:   nw,
+			Nodes:     benchAsyncNodes(b, nw, params.Delta, uint64(i)+1),
+			FrameLen:  3,
+			MaxFrames: 100,
 			Scratch:   scratch,
 		}); err != nil {
 			b.Fatal(err)

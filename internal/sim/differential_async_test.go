@@ -2,10 +2,10 @@ package sim
 
 // Differential testing of the asynchronous engine against a brute-force
 // interval resolver: for each listening frame the reference scans every
-// transmission slot of every node in the whole run (no binary search, no
-// pointer advancement) and applies the containment and overlap rules
-// verbatim. Divergence pinpoints indexing or search-window bugs in the
-// engine's resolver.
+// transmission slot of every node in the whole run (no frame queue, no
+// cursor, no sweep) and applies the containment and overlap rules
+// verbatim. Divergence pinpoints indexing, search-window or scheduling
+// bugs in the engine.
 
 import (
 	"fmt"
@@ -15,20 +15,30 @@ import (
 
 	"m2hew/internal/channel"
 	"m2hew/internal/clock"
+	"m2hew/internal/dynamics"
+	"m2hew/internal/metrics"
 	"m2hew/internal/radio"
 	"m2hew/internal/rng"
 	"m2hew/internal/topology"
 )
 
-// asyncRefDelivery is one reception per the reference resolver.
+// asyncRefDelivery is one reception per the reference resolver: sender,
+// receiver, the receiver's listening frame, and the end time of the
+// earliest clear slot.
 type asyncRefDelivery struct {
 	from, to topology.NodeID
+	frame    int
 	at       float64
 }
 
-// referenceResolveAsync recomputes all receptions of a scripted async run.
+// referenceResolveAsync recomputes all receptions of a scripted async run,
+// in the engine's delivery order: listening frames by ascending (end time,
+// listener), each frame's deliveries by ascending sender. With a world,
+// each listening frame resolves against the candidate table of the epoch
+// containing its start; without one, against the static network.
 func referenceResolveAsync(
 	nw *topology.Network,
+	world *dynamics.World,
 	script [][]radio.Action,
 	timelines []*clock.Timeline,
 	slotsPerFrame int,
@@ -37,6 +47,19 @@ func referenceResolveAsync(
 		start, end float64
 		from       topology.NodeID
 		ch         channel.ID
+	}
+	// reaches reports whether a transmission from `from` on ch can arrive
+	// at listener `to` during a frame starting at gs.
+	reaches := func(from, to topology.NodeID, gs float64, ch channel.ID) bool {
+		if world == nil {
+			return nw.Reaches(from, to) && nw.Span(to, from).Contains(ch)
+		}
+		for _, c := range world.At(world.EpochOf(gs)).Cands[to] {
+			if c.From == from {
+				return c.Span.Contains(ch)
+			}
+		}
+		return false
 	}
 	// Enumerate every transmission slot in the run.
 	var txs []interval
@@ -51,7 +74,12 @@ func referenceResolveAsync(
 			}
 		}
 	}
-	var out []asyncRefDelivery
+	type frameOut struct {
+		end float64
+		to  topology.NodeID
+		ds  []asyncRefDelivery
+	}
+	var frames []frameOut
 	for u := 0; u < nw.N(); u++ {
 		uid := topology.NodeID(u)
 		for f, a := range script[u] {
@@ -66,10 +94,10 @@ func referenceResolveAsync(
 				if tx.from == uid || tx.ch != a.Channel {
 					continue
 				}
-				if !nw.Reaches(tx.from, uid) || !nw.Span(uid, tx.from).Contains(a.Channel) {
+				if tx.end <= gs || tx.start >= ge {
 					continue
 				}
-				if tx.end <= gs || tx.start >= ge {
+				if !reaches(tx.from, uid, gs, a.Channel) {
 					continue
 				}
 				arriving = append(arriving, tx)
@@ -97,21 +125,71 @@ func referenceResolveAsync(
 					best[cand.from] = cand.end
 				}
 			}
+			var ds []asyncRefDelivery
 			for from, at := range best {
-				out = append(out, asyncRefDelivery{from: from, to: uid, at: at})
+				ds = append(ds, asyncRefDelivery{from: from, to: uid, frame: f, at: at})
 			}
+			sort.Slice(ds, func(i, j int) bool { return ds[i].from < ds[j].from })
+			frames = append(frames, frameOut{end: ge, to: uid, ds: ds})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].at != out[j].at {
-			return out[i].at < out[j].at
+	sort.Slice(frames, func(i, j int) bool {
+		if frames[i].end != frames[j].end {
+			return frames[i].end < frames[j].end
 		}
-		if out[i].to != out[j].to {
-			return out[i].to < out[j].to
-		}
-		return out[i].from < out[j].from
+		return frames[i].to < frames[j].to
 	})
+	var out []asyncRefDelivery
+	for _, fo := range frames {
+		out = append(out, fo.ds...)
+	}
 	return out
+}
+
+// referenceForNodes runs the reference on a twin of an engine run's nodes:
+// the twin's protocols supply the decisions (pre-generated over the frame
+// budget) and its drift processes the clocks, so a twin built from the
+// same seeds replays exactly what the engine saw.
+func referenceForNodes(t *testing.T, nw *topology.Network, world *dynamics.World, twin []AsyncNode, frameLen float64, slotsPerFrame, maxFrames int) []asyncRefDelivery {
+	t.Helper()
+	st, err := NewAsyncPregen(twin, maxFrames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timelines := make([]*clock.Timeline, len(twin))
+	for u, nc := range twin {
+		if timelines[u], err = clock.NewTimeline(nc.Start, frameLen, slotsPerFrame, nc.Drift); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return referenceResolveAsync(nw, world, st.decisions, timelines, slotsPerFrame)
+}
+
+// coverageMatchesReference checks a run's coverage record against the
+// reference deliveries: the covered links are exactly those the reference
+// delivers on, each first covered at the reference's earliest delivery.
+func coverageMatchesReference(t *testing.T, label string, cov *metrics.Coverage, want []asyncRefDelivery) {
+	t.Helper()
+	first := make(map[topology.Link]float64)
+	for _, d := range want {
+		l := topology.Link{From: d.from, To: d.to}
+		if at, ok := first[l]; !ok || d.at < at {
+			first[l] = d.at
+		}
+	}
+	if covered := cov.TargetSize() - cov.Remaining(); covered != len(first) {
+		t.Fatalf("%s: engine covered %d links, reference delivers on %d", label, covered, len(first))
+	}
+	if k := cov.NonTargetObservations(); k != 0 {
+		t.Fatalf("%s: %d deliveries on links outside the coverage target", label, k)
+	}
+	for _, d := range want {
+		l := topology.Link{From: d.from, To: d.to}
+		at, ok := cov.FirstCovered(l)
+		if !ok || at != first[l] {
+			t.Fatalf("%s: link %v first covered at %v (covered %v), reference %v", label, l, at, ok, first[l])
+		}
+	}
 }
 
 func TestAsyncEngineMatchesReference(t *testing.T) {
@@ -180,7 +258,7 @@ func TestAsyncEngineMatchesReference(t *testing.T) {
 			}
 
 			var got []asyncRefDelivery
-			_, err = RunAsync(AsyncConfig{
+			res, err := RunAsync(AsyncConfig{
 				Network:       nw,
 				Nodes:         nodes,
 				FrameLen:      frameLen,
@@ -195,7 +273,7 @@ func TestAsyncEngineMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := referenceResolveAsync(nw, script, timelines, slotsPerFrame)
+			want := referenceResolveAsync(nw, nil, script, timelines, slotsPerFrame)
 			if len(got) != len(want) {
 				t.Fatalf("engine delivered %d, reference %d\nengine: %v\nreference: %v",
 					len(got), len(want), got, want)
@@ -206,6 +284,7 @@ func TestAsyncEngineMatchesReference(t *testing.T) {
 					t.Fatalf("delivery %d: engine %+v, reference %+v", i, got[i], want[i])
 				}
 			}
+			coverageMatchesReference(t, "scripted", res.Coverage, want)
 		})
 	}
 }

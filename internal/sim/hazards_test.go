@@ -88,43 +88,35 @@ func (p *recordingAsync) NextFrame(int) radio.Action {
 func (p *recordingAsync) Deliver(msg radio.Message) { p.msgs = append(p.msgs, msg) }
 
 func TestAsyncHeardSnapshotNotAliased(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		run  func(AsyncConfig) (*AsyncResult, error)
-	}{
-		{"RunAsync", RunAsync},
-		{"RunAsyncOnline", RunAsyncOnline},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			nw, err := topology.Clique(2)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("RunAsync", func(t *testing.T) {
+		nw, err := topology.Clique(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := topology.AssignHomogeneous(nw, 1); err != nil {
+			t.Fatal(err)
+		}
+		sender := &heardAsync{h: []topology.NodeID{42}}
+		receiver := &recordingAsync{}
+		if _, err := RunAsync(AsyncConfig{
+			Network:   nw,
+			Nodes:     []AsyncNode{{Protocol: sender}, {Protocol: receiver}},
+			FrameLen:  3,
+			MaxFrames: 4,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(receiver.msgs) == 0 {
+			t.Fatal("no deliveries; the aliasing check tests nothing")
+		}
+		sender.h[0] = 99 // the hazard: mutate the reporter's array post-run
+		for i, msg := range receiver.msgs {
+			if len(msg.Heard) != 1 || msg.Heard[0] != 42 {
+				t.Fatalf("message %d Heard = %v, want [42] — the engine aliased the reporter's slice",
+					i, msg.Heard)
 			}
-			if err := topology.AssignHomogeneous(nw, 1); err != nil {
-				t.Fatal(err)
-			}
-			sender := &heardAsync{h: []topology.NodeID{42}}
-			receiver := &recordingAsync{}
-			if _, err := tc.run(AsyncConfig{
-				Network:   nw,
-				Nodes:     []AsyncNode{{Protocol: sender}, {Protocol: receiver}},
-				FrameLen:  3,
-				MaxFrames: 4,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if len(receiver.msgs) == 0 {
-				t.Fatal("no deliveries; the aliasing check tests nothing")
-			}
-			sender.h[0] = 99 // the hazard: mutate the reporter's array post-run
-			for i, msg := range receiver.msgs {
-				if len(msg.Heard) != 1 || msg.Heard[0] != 42 {
-					t.Fatalf("message %d Heard = %v, want [42] — the engine aliased the reporter's slice",
-						i, msg.Heard)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestFullFramesStopAtFrameBudget pins the frame-budget clamp: the bound

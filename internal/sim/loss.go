@@ -15,7 +15,10 @@ import (
 //
 // Erasures are independent across receivers (a transmission may fade at one
 // neighbor and be heard by another) and, in the asynchronous engine, are
-// drawn independently per (receiver listening frame, transmission slot).
+// drawn independently per (receiver listening frame, transmission slot):
+// one draw per overlapping slot, as listening frames resolve in global
+// frame-end order (equal ends by ascending listener), within a frame by
+// ascending sender, then frame, then slot.
 //
 // A nil *LossModel means reliable channels.
 type LossModel struct {

@@ -48,20 +48,17 @@ const (
 	// EventFrameStart is one node-local frame beginning: Node is the frame
 	// owner, Slot its 0-based frame index on that node, Time the frame's
 	// real start time, and Action the whole-frame decision (transmit,
-	// receive, or quiet). Asynchronous engines only.
+	// receive, or quiet). Asynchronous engine only.
 	EventFrameStart
 	// EventFrameResolve reports a resolved listening frame: Node, Slot and
 	// Action identify the frame as in EventFrameStart, Time is the frame's
 	// real end time, Collected counts the candidate transmission slots that
 	// overlapped it, and Delivered the clear receptions it produced.
-	// Emitted for receive frames only. Asynchronous engines only.
+	// Emitted for receive frames only. Asynchronous engine only.
 	EventFrameResolve
 	// EventEpoch is a dynamic-run epoch boundary: Epoch is the new epoch's
 	// index, Time the boundary instant (slot index or real time). Emitted
-	// before the boundary's join/leave/channel-loss events. Synchronous
-	// engine and online asynchronous engine; the batch asynchronous engine
-	// resolves node-major rather than chronologically and emits no dynamics
-	// events.
+	// before the boundary's join/leave/channel-loss events. Both engines.
 	EventEpoch
 	// EventJoin is a node joining the network at an epoch boundary: Node is
 	// the joiner, Epoch the epoch it becomes active in.
@@ -111,7 +108,7 @@ type Event struct {
 	// Kind selects which fields are meaningful.
 	Kind EventKind
 	// Time is the event instant: the slot index for the synchronous
-	// engine, the real reception time for the asynchronous engines.
+	// engine, the real reception time for the asynchronous engine.
 	Time float64
 	// Slot is the integer slot index (synchronous engine only; 0 for
 	// asynchronous events).

@@ -183,23 +183,25 @@ func (sc *SyncScratch) localSlotBuf(n int) []int {
 	return locals
 }
 
-// AsyncScratch holds the per-run state of RunAsync and RunAsyncOnline for
-// reuse across runs: the phase-1 frame/start tables, the reception
-// resolver's buffers, the delivery list, and (opt-in) the clock timelines.
-// A scratch belongs to one goroutine at a time; runs borrow it for their
-// whole duration. The zero value is not ready — use NewAsyncScratch.
+// AsyncScratch holds the per-run state of RunAsync for reuse across runs:
+// the per-node frame tables, the frame queue, the reception resolver's
+// buffers, and (opt-in) the clock timelines and drift memos. A scratch
+// belongs to one goroutine at a time; runs borrow it for their whole
+// duration. The zero value is not ready — use NewAsyncScratch.
 //
-// Reuse is invisible in results: frame tables are fully overwritten (or
-// re-sliced empty) before resolution reads them, resolver buffers already
-// carried per-frame reuse semantics within a run, and no scratch state feeds
-// an rng draw. The derived network tables are cached keyed by network
-// pointer; a caller that mutates a network in place between runs must call
-// Reset (or use a fresh scratch).
+// Reuse is invisible in results: frame tables are re-sliced empty and
+// appended to as frames generate, the queue is fully overwritten when the
+// run primes it, resolver buffers already carried per-frame reuse
+// semantics within a run, and no scratch state feeds an rng draw. The
+// derived network tables are cached keyed by network pointer; a caller
+// that mutates a network in place between runs must call Reset (or use a
+// fresh scratch).
 type AsyncScratch struct {
 	// RecycleTimelines additionally pools the per-node clock.Timeline
 	// objects, resetting them in place each run instead of allocating fresh
-	// ones. Timelines escape the engine through AsyncResult.Timelines, so
-	// this is safe only when the caller does not use a result's Timelines
+	// ones, and the drift processes' rate-memo backing arrays. Timelines
+	// escape the engine through AsyncResult.Timelines, so this is safe
+	// only when the caller does not use a result's Timelines
 	// (FullFrames, MinFullFrames, drift audits) after starting the next run
 	// with the same scratch. Paths that audit timelines after a whole batch
 	// (e.g. harness.AsyncConfigs consumers) must leave this off.
@@ -209,15 +211,11 @@ type AsyncScratch struct {
 	cands    [][]topology.Candidate
 	msgAvail []channel.Set
 
-	timelines  []*clock.Timeline
-	rateBufs   [][]float64
-	frames     [][]asyncFrame
-	deliveries []delivery
-	env        asyncEnv
-
-	// Online-engine per-run buffers.
-	nextEnd []float64
-	pending []int
+	timelines []*clock.Timeline
+	rateBufs  [][]float64
+	frames    [][]asyncFrame
+	queue     []frameKey
+	env       asyncEnv
 }
 
 // NewAsyncScratch returns an empty scratch ready for use.
@@ -279,10 +277,9 @@ func (sc *AsyncScratch) timelineSlice(n int) []*clock.Timeline {
 	return sc.timelines[:n]
 }
 
-// frameTables returns the per-node frame tables, each re-sliced to length
-// frames (fully overwritten by the pre-generating engine) or 0 (appended to
-// by the online engine) with capacity for maxFrames entries.
-func (sc *AsyncScratch) frameTables(n, maxFrames, frames int) [][]asyncFrame {
+// frameTables returns the per-node frame tables, each re-sliced empty
+// with capacity for maxFrames entries.
+func (sc *AsyncScratch) frameTables(n, maxFrames int) [][]asyncFrame {
 	if cap(sc.frames) < n {
 		fr := make([][]asyncFrame, n)
 		copy(fr, sc.frames)
@@ -293,9 +290,18 @@ func (sc *AsyncScratch) frameTables(n, maxFrames, frames int) [][]asyncFrame {
 		if cap(sc.frames[u]) < maxFrames {
 			sc.frames[u] = make([]asyncFrame, maxFrames)
 		}
-		sc.frames[u] = sc.frames[u][:frames]
+		sc.frames[u] = sc.frames[u][:0]
 	}
 	return sc.frames
+}
+
+// frameQueue returns the engine's frame-queue buffer, grown to n entries;
+// the engine overwrites every entry when it primes the queue.
+func (sc *AsyncScratch) frameQueue(n int) []frameKey {
+	if cap(sc.queue) < n {
+		sc.queue = make([]frameKey, n)
+	}
+	return sc.queue[:n]
 }
 
 // envFor primes the embedded resolver env for a run. The env's internal
@@ -310,30 +316,9 @@ func (sc *AsyncScratch) envFor(nw *topology.Network, cands [][]topology.Candidat
 	env.timelines = timelines
 	env.slotsPerFrame = slotsPerFrame
 	env.loss = loss
-	env.world = nil // engines running on a dynamic world set it after
+	env.world = nil // RunAsync sets it for dynamic runs
 	env.lastCollected = 0
 	return env
-}
-
-// deliveryBuf returns the empty delivery accumulator.
-func (sc *AsyncScratch) deliveryBuf() []delivery {
-	return sc.deliveries[:0]
-}
-
-// onlineBufs returns the online engine's frame-end / pending-index buffers,
-// grown to n. nextEnd is fully initialized by the engine's priming loop;
-// pending is zeroed here because the engine relies on all-zero initial
-// indexes.
-func (sc *AsyncScratch) onlineBufs(n int) ([]float64, []int) {
-	if cap(sc.nextEnd) < n {
-		sc.nextEnd = make([]float64, n)
-		sc.pending = make([]int, n)
-	}
-	pending := sc.pending[:n]
-	for i := range pending {
-		pending[i] = 0
-	}
-	return sc.nextEnd[:n], pending
 }
 
 // slotReserver is implemented by drift processes that can pre-size their

@@ -67,15 +67,15 @@ func syncFingerprint(t *testing.T, nw *topology.Network, seed uint64, maxSlots i
 	return sb.String()
 }
 
-// asyncFingerprint does the same for an asynchronous engine (RunAsync or
-// RunAsyncOnline). Timelines are deliberately not part of the fingerprint:
-// with RecycleTimelines they are pooled and not stable across runs.
-func asyncFingerprint(t *testing.T, engine func(AsyncConfig) (*AsyncResult, error), nw *topology.Network, seed uint64, maxFrames int, scratch *AsyncScratch) string {
+// asyncFingerprint does the same for the asynchronous engine. Timelines are
+// deliberately not part of the fingerprint: with RecycleTimelines they are
+// pooled and not stable across runs.
+func asyncFingerprint(t *testing.T, nw *topology.Network, seed uint64, maxFrames int, scratch *AsyncScratch) string {
 	t.Helper()
 	root := rng.New(seed)
 	nodes := benchAsyncNodesT(t, nw, 4, root)
 	var sb strings.Builder
-	res, err := engine(AsyncConfig{
+	res, err := RunAsync(AsyncConfig{
 		Network:   nw,
 		Nodes:     nodes,
 		FrameLen:  3,
@@ -138,8 +138,9 @@ func TestRunSyncScratchMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRunAsyncScratchMatchesFresh covers both asynchronous engines and, for
-// RunAsync, both scratch modes (with and without timeline recycling).
+// TestRunAsyncScratchMatchesFresh covers both scratch modes: plain reuse,
+// and timeline recycling with pooled drift memos (the trial-loop
+// configuration).
 func TestRunAsyncScratchMatchesFresh(t *testing.T) {
 	nwA := scratchTestNetwork(t, 10, 0.5, 3)
 	nwB := scratchTestNetwork(t, 6, 0.6, 4)
@@ -150,28 +151,19 @@ func TestRunAsyncScratchMatchesFresh(t *testing.T) {
 	}{
 		{nwA, 200, 120}, {nwB, 201, 80}, {nwA, 202, 120}, {nwB, 203, 40},
 	}
-	engines := []struct {
-		name   string
-		engine func(AsyncConfig) (*AsyncResult, error)
-	}{
-		{"RunAsync", RunAsync},
-		{"RunAsyncOnline", RunAsyncOnline},
-	}
-	for _, eng := range engines {
-		for _, recycle := range []bool{false, true} {
-			if recycle && eng.name == "RunAsyncOnline" {
-				continue // recycling is a RunAsync-path option
+	for _, recycle := range []bool{false, true} {
+		scratch := NewAsyncScratch()
+		scratch.RecycleTimelines = recycle
+		for i, tr := range trials {
+			fresh := asyncFingerprint(t, tr.nw, tr.seed, tr.maxFrames, nil)
+			reused := asyncFingerprint(t, tr.nw, tr.seed, tr.maxFrames, scratch)
+			if fresh != reused {
+				t.Fatalf("recycle=%v trial %d: scratch-reuse run diverged from fresh run\nfresh:\n%s\nreused:\n%s",
+					recycle, i, fresh, reused)
 			}
-			scratch := NewAsyncScratch()
-			scratch.RecycleTimelines = recycle
-			for i, tr := range trials {
-				fresh := asyncFingerprint(t, eng.engine, tr.nw, tr.seed, tr.maxFrames, nil)
-				reused := asyncFingerprint(t, eng.engine, tr.nw, tr.seed, tr.maxFrames, scratch)
-				if fresh != reused {
-					t.Fatalf("%s recycle=%v trial %d: scratch-reuse run diverged from fresh run\nfresh:\n%s\nreused:\n%s",
-						eng.name, recycle, i, fresh, reused)
-				}
-			}
+		}
+		if recycle && len(scratch.rateBufs) == 0 {
+			t.Fatal("timeline recycling pooled no drift rate memos")
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 // Stepper is the engines' decision seam: the single source both engines pull
 // protocol decisions through. Next returns node u's k-th decision — its k-th
 // active slot for the synchronous engine, its k-th local frame for the
-// asynchronous engines. Engines call Next with strictly increasing k per
+// asynchronous engine. Engines call Next with strictly increasing k per
 // node (starting at 0, no gaps), never re-query a (u, k) pair, and validate
 // every returned action against the node's available set exactly as they
 // would a direct protocol call.
@@ -88,7 +88,7 @@ func (s syncStepper) NextBatch(us []topology.NodeID, ks []int, dst []radio.Actio
 	}
 }
 
-// asyncStepper is the asynchronous engines' default incremental stepper:
+// asyncStepper is the asynchronous engine's default incremental stepper:
 // each decision is pulled from the node's protocol when the engine first
 // needs the node's k-th frame.
 type asyncStepper struct{ nodes []AsyncNode }

@@ -4,7 +4,8 @@ package sim
 // (decisions pulled lazily, in whatever order the engine needs them) must
 // be byte-identical to PregenStepper (every decision drawn node-major up
 // front — the pre-incremental engines' order) for oblivious protocols,
-// across both engines, with and without loss models and dynamic worlds.
+// on both the synchronous and asynchronous engines, with and without loss
+// models and dynamic worlds.
 // Divergence means decision indexing leaked engine scheduling into a
 // node's private rng stream.
 
@@ -291,7 +292,7 @@ func TestAsyncPregenDifferential(t *testing.T) {
 	const maxFrames = 400
 	for _, seed := range []uint64{2, 9} {
 		nw := diffNet(t, seed, 12)
-		run := func(engine func(AsyncConfig) (*AsyncResult, error), pregen bool) *AsyncResult {
+		run := func(pregen bool) *AsyncResult {
 			t.Helper()
 			nodes := asyncNodes(t, nw, seed+500)
 			cfg := AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 3, MaxFrames: maxFrames}
@@ -302,14 +303,13 @@ func TestAsyncPregenDifferential(t *testing.T) {
 				}
 				cfg.Stepper = st
 			}
-			res, err := engine(cfg)
+			res, err := RunAsync(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		sameCoverage(t, "async batch", run(RunAsync, false).Coverage, run(RunAsync, true).Coverage)
-		sameCoverage(t, "async online", run(RunAsyncOnline, false).Coverage, run(RunAsyncOnline, true).Coverage)
+		sameCoverage(t, "async", run(false).Coverage, run(true).Coverage)
 	}
 }
 
@@ -321,13 +321,18 @@ func TestAsyncPregenDifferentialDynamics(t *testing.T) {
 		Churn:    &dynamics.Churn{JoinFraction: 0.3, JoinWindow: 6, LeaveFraction: 0.2, LeaveWindow: 8},
 		Primary:  &dynamics.Primary{Events: 2, Duration: 4, Radius: 0.4},
 	}
-	run := func(engine func(AsyncConfig) (*AsyncResult, error), pregen bool) *AsyncResult {
+	newWorld := func() *dynamics.World {
 		t.Helper()
-		nodes := asyncNodes(t, nw, 800)
 		world, err := dynamics.NewWorld(nw, spec, 25, rng.New(31))
 		if err != nil {
 			t.Fatal(err)
 		}
+		return world
+	}
+	run := func(pregen bool) *AsyncResult {
+		t.Helper()
+		nodes := asyncNodes(t, nw, 800)
+		world := newWorld()
 		cfg := AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 3, MaxFrames: maxFrames, Dynamics: world}
 		if pregen {
 			st, err := NewAsyncPregen(nodes, maxFrames)
@@ -336,16 +341,19 @@ func TestAsyncPregenDifferentialDynamics(t *testing.T) {
 			}
 			cfg.Stepper = st
 		}
-		res, err := engine(cfg)
+		res, err := RunAsync(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	sameCoverage(t, "async batch+dynamics", run(RunAsync, false).Coverage, run(RunAsync, true).Coverage)
-	sameCoverage(t, "async online+dynamics", run(RunAsyncOnline, false).Coverage, run(RunAsyncOnline, true).Coverage)
-	// The two async engines deliver in different orders but must agree on
-	// what was ever covered for oblivious protocols, dynamics included.
-	batch, online := run(RunAsync, false), run(RunAsyncOnline, false)
-	sameCoverage(t, "async batch vs online dynamics", batch.Coverage, online.Coverage)
+	lazy := run(false)
+	sameCoverage(t, "async+dynamics", lazy.Coverage, run(true).Coverage)
+	// The reference resolves each listening frame against the epoch
+	// containing its start; the engine must cover exactly what it delivers.
+	want := referenceForNodes(t, nw, newWorld(), asyncNodes(t, nw, 800), 3, 3, maxFrames)
+	if len(want) == 0 {
+		t.Fatal("reference delivered nothing; the comparison tests nothing")
+	}
+	coverageMatchesReference(t, "async+dynamics vs reference", lazy.Coverage, want)
 }

@@ -683,17 +683,7 @@ func runAsync(n *Network, cfg RunConfig, sc analytic.Scenario, scratch *harness.
 		asc.RecycleTimelines = true
 		simCfg.Scratch = asc
 	}
-	var (
-		res *sim.AsyncResult
-		err error
-	)
-	if cfg.TerminateAfterIdle > 0 {
-		// The termination wrapper is adaptive (its schedule depends on what
-		// it received), which requires the online engine.
-		res, err = sim.RunAsyncOnline(simCfg)
-	} else {
-		res, err = sim.RunAsync(simCfg)
-	}
+	res, err := sim.RunAsync(simCfg)
 	if err != nil {
 		return nil, fmt.Errorf("m2hew: %w", err)
 	}
